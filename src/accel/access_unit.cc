@@ -6,7 +6,6 @@
 
 #include "src/sim/logging.hh"
 #include "src/sim/probe.hh"
-#include "src/sim/trace.hh"
 
 namespace distda::accel
 {
@@ -80,11 +79,6 @@ StreamUnit::grow(std::int64_t c, sim::Tick now, bool fetch)
             if (_fillDist)
                 _fillDist->sample(static_cast<double>(lat));
         }
-        DISTDA_DPRINTF(Stream, issue, "fill-fsm",
-                       "fetch chunk %lld addr 0x%llx ready %llu",
-                       static_cast<long long>(c),
-                       static_cast<unsigned long long>(chunkAddr(c)),
-                       static_cast<unsigned long long>(ch.ready));
     } else {
         ch.ready = now;
     }
@@ -121,11 +115,6 @@ StreamUnit::evictFront(sim::Tick now)
         _stats->bufferAccesses += _elemsPerFetch;
         if (_probe)
             _probe->span(_probeTrack, "drain", issue, issue + lat);
-        DISTDA_DPRINTF(Stream, issue, "drain-fsm",
-                       "drain chunk %lld addr 0x%llx",
-                       static_cast<long long>(_loChunk),
-                       static_cast<unsigned long long>(
-                           chunkAddr(_loChunk)));
     }
     _window.pop_front();
     ++_loChunk;

@@ -140,7 +140,7 @@ RunConfig::engineConfig() const
                      ? cgra::CgraParams::large()
                      : cgra::CgraParams{};
     cfg.retainBuffers = !disableRetention;
-    cfg.predecode = predecodeOverride;
+    cfg.predecode = predecode;
     if (bufferBytesOverride)
         cfg.clusterBufferBytes = bufferBytesOverride;
     if (channelCapacityOverride)

@@ -103,12 +103,11 @@ struct RunConfig
     bool analyzePlans = false;
 
     /**
-     * Actor predecode control: -1 follows the process-wide
-     * engine::setPredecodeEnabled toggle, 0 forces the microcode
-     * interpreter, 1 forces the predecoded stream. Differential
-     * jobs running both paths concurrently set this per run.
+     * Run actors on the predecoded stream (default); false forces the
+     * microcode interpreter. Differential jobs running both paths
+     * concurrently set this per run.
      */
-    int predecodeOverride = -1;
+    bool predecode = true;
 
     /**
      * Reuse compiled plans through the process-wide PlanCache

@@ -291,7 +291,6 @@ ExecContext::analyzeAll() const
     for (const auto &[name, ck] : _kernels) {
         verify::AnalysisOptions ao;
         ao.channelCapacity = ck.plan->options.channelCapacity;
-        ao.mesh = _sys.hier().mesh().params();
         ao.profile = &ck.profile;
         if (ck.runtime) {
             // The engine's instantiated topology is authoritative for

@@ -1,38 +1,22 @@
 #include "src/engine/actor.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 
+#include "src/compiler/eval.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/probe.hh"
-#include "src/sim/trace.hh"
 
 namespace distda::engine
 {
 
 using compiler::MicroInst;
 using compiler::MicroKind;
-using compiler::OpCode;
 using compiler::Word;
 
 namespace
 {
-std::atomic<bool> predecodeEnabledFlag{true};
 const Word zeroWord{};
 } // namespace
-
-void
-setPredecodeEnabled(bool enabled)
-{
-    predecodeEnabledFlag.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-predecodeEnabled()
-{
-    return predecodeEnabledFlag.load(std::memory_order_relaxed);
-}
 
 PartitionActor::PartitionActor(
     const Config &config, std::vector<AccessorRuntime> accessors,
@@ -121,10 +105,7 @@ PartitionActor::PartitionActor(
     _portInstWeight = config.instEnergyScale * 0.4;
     _ivPtr = prog.ivReg != compiler::noReg ? &_regs[prog.ivReg]
                                            : nullptr;
-    const bool use_predecode = config.predecode < 0
-                                   ? predecodeEnabled()
-                                   : config.predecode != 0;
-    if (use_predecode) {
+    if (config.predecode) {
         _exec.reserve(prog.insts.size());
         for (const MicroInst &inst : prog.insts)
             _exec.push_back(predecode(inst));
@@ -222,57 +203,7 @@ PartitionActor::evalAlu(const MicroInst &inst) const
     const Word a = inst.a != compiler::noReg ? _regs[inst.a] : Word{};
     const Word b = inst.b != compiler::noReg ? _regs[inst.b] : Word{};
     const Word c = inst.c != compiler::noReg ? _regs[inst.c] : Word{};
-    return evalAluOp(inst.op, a, b, c);
-}
-
-Word
-PartitionActor::evalAluOp(OpCode op, Word a, Word b, Word c)
-{
-    Word r{};
-    switch (op) {
-      case OpCode::IAdd: r.i = a.i + b.i; break;
-      case OpCode::ISub: r.i = a.i - b.i; break;
-      case OpCode::IMul: r.i = a.i * b.i; break;
-      case OpCode::IDiv:
-        DISTDA_ASSERT(b.i != 0, "integer division by zero");
-        r.i = a.i / b.i;
-        break;
-      case OpCode::IRem:
-        DISTDA_ASSERT(b.i != 0, "integer remainder by zero");
-        r.i = a.i % b.i;
-        break;
-      case OpCode::IMin: r.i = std::min(a.i, b.i); break;
-      case OpCode::IMax: r.i = std::max(a.i, b.i); break;
-      case OpCode::IAbs: r.i = std::llabs(a.i); break;
-      case OpCode::IAnd: r.i = a.i & b.i; break;
-      case OpCode::IOr: r.i = a.i | b.i; break;
-      case OpCode::IXor: r.i = a.i ^ b.i; break;
-      case OpCode::IShl: r.i = a.i << b.i; break;
-      case OpCode::IShr: r.i = a.i >> b.i; break;
-      case OpCode::ICmpLt: r.i = a.i < b.i; break;
-      case OpCode::ICmpLe: r.i = a.i <= b.i; break;
-      case OpCode::ICmpEq: r.i = a.i == b.i; break;
-      case OpCode::ICmpNe: r.i = a.i != b.i; break;
-      case OpCode::FAdd: r.f = a.f + b.f; break;
-      case OpCode::FSub: r.f = a.f - b.f; break;
-      case OpCode::FMul: r.f = a.f * b.f; break;
-      case OpCode::FDiv: r.f = a.f / b.f; break;
-      case OpCode::FSqrt: r.f = std::sqrt(a.f); break;
-      case OpCode::FAbs: r.f = std::fabs(a.f); break;
-      case OpCode::FMin: r.f = std::min(a.f, b.f); break;
-      case OpCode::FMax: r.f = std::max(a.f, b.f); break;
-      case OpCode::FNeg: r.f = -a.f; break;
-      case OpCode::FCmpLt: r.i = a.f < b.f; break;
-      case OpCode::FCmpLe: r.i = a.f <= b.f; break;
-      case OpCode::FCmpEq: r.i = a.f == b.f; break;
-      case OpCode::Select: r = a.i ? b : c; break;
-      case OpCode::I2F: r.f = static_cast<double>(a.i); break;
-      case OpCode::F2I: r.i = static_cast<std::int64_t>(a.f); break;
-      case OpCode::Mov: r = a; break;
-      default:
-        panic("bad ALU opcode %d", static_cast<int>(op));
-    }
-    return r;
+    return compiler::evalOp(inst.op, a, b, c);
 }
 
 bool
@@ -487,7 +418,7 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
             bool port_op = false;
             switch (op.kind) {
               case MicroKind::Alu: {
-                  *op.dst = evalAluOp(op.op, *op.a, *op.b, *op.c);
+                  *op.dst = compiler::evalOp(op.op, *op.a, *op.b, *op.c);
                   _now += _instCost;
                   break;
               }
@@ -759,10 +690,6 @@ PartitionActor::finish()
     if (_finished)
         return;
     _finished = true;
-    DISTDA_DPRINTF(Actor, _now, "actor",
-                   "partition %d finished: %lld iterations, %.0f insts",
-                   _config.part->id, static_cast<long long>(_iter),
-                   _insts);
     sim::Tick done = _now;
     // Flush each store stream once. Combined taps share a unit, so the
     // accessor list can repeat streams; dedupe by scanning the earlier

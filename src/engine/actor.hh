@@ -33,16 +33,6 @@ enum class ActorKind : std::uint8_t
 
 enum class ActorStatus : std::uint8_t { Running, Blocked, Finished };
 
-/**
- * Globally enable/disable predecoded microcode execution (default on).
- * Actors built while this is off interpret the raw MicroProgram the
- * slow way; the interpreter-equivalence test uses that to check both
- * paths produce identical stats on every workload. Thread-safe, read
- * once per actor construction.
- */
-void setPredecodeEnabled(bool enabled);
-bool predecodeEnabled();
-
 /** Runtime wiring of one accessor to its unit and bound array. */
 struct AccessorRuntime
 {
@@ -73,8 +63,9 @@ class PartitionActor
         sim::Tick hideTicks = 0;
         energy::Component energyComp = energy::Component::IOCore;
         sim::Tick startTick = 0;
-        /** -1: follow the global toggle; 0/1: force off/on. */
-        int predecode = -1;
+        /** Run the predecoded stream; false interprets the raw
+         *  MicroProgram (the timing oracle for the predecoded loop). */
+        bool predecode = true;
         /**
          * Observability wiring (null when off). Span emission is
          * batched per run() slice — one compute/mem-blocked/
@@ -176,10 +167,6 @@ class PartitionActor
     void finish();
 
     compiler::Word evalAlu(const compiler::MicroInst &inst) const;
-
-    static compiler::Word evalAluOp(compiler::OpCode op,
-                                    compiler::Word a, compiler::Word b,
-                                    compiler::Word c);
 
     Config _config;
     std::vector<AccessorRuntime> _accessors;

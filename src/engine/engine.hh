@@ -59,13 +59,11 @@ struct EngineConfig
     /** Retain stream windows across invocations (§V-B reuse). */
     bool retainBuffers = true;
     /**
-     * Per-engine predecode control: -1 follows the global
-     * setPredecodeEnabled toggle, 0 forces the raw interpreter, 1
-     * forces the predecoded stream. The differential fuzz harness runs
-     * interpreter and predecoded engines concurrently on one pool, so
-     * it cannot share the process-wide toggle.
+     * Run actors on the predecoded stream (default); false forces the
+     * raw microcode interpreter. Per engine, so interpreter and
+     * predecoded runs can share one thread pool.
      */
-    int predecode = -1;
+    bool predecode = true;
     /**
      * Per-run timeline probe (null = observability off). The engine
      * threads it into every actor, stream unit and channel it builds;

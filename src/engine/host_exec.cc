@@ -1,8 +1,8 @@
 #include "src/engine/host_exec.hh"
 
 #include <algorithm>
-#include <cmath>
 
+#include "src/compiler/eval.hh"
 #include "src/sim/logging.hh"
 
 namespace distda::engine
@@ -12,7 +12,6 @@ using compiler::AccessDir;
 using compiler::Kernel;
 using compiler::Node;
 using compiler::NodeKind;
-using compiler::OpCode;
 using compiler::PatternKind;
 using compiler::Word;
 
@@ -36,57 +35,6 @@ HostExecutor::HostExecutor(
       _topo(_kernel.topoOrder())
 {
 }
-
-namespace
-{
-
-Word
-evalCompute(const Node &n, const std::vector<Word> &vals)
-{
-    const Word a = n.inputA != compiler::noNode ? vals[static_cast<std::size_t>(n.inputA)] : Word{};
-    const Word b = n.inputB != compiler::noNode ? vals[static_cast<std::size_t>(n.inputB)] : Word{};
-    const Word c = n.inputC != compiler::noNode ? vals[static_cast<std::size_t>(n.inputC)] : Word{};
-    Word r{};
-    switch (n.op) {
-      case OpCode::IAdd: r.i = a.i + b.i; break;
-      case OpCode::ISub: r.i = a.i - b.i; break;
-      case OpCode::IMul: r.i = a.i * b.i; break;
-      case OpCode::IDiv: r.i = a.i / b.i; break;
-      case OpCode::IRem: r.i = a.i % b.i; break;
-      case OpCode::IMin: r.i = std::min(a.i, b.i); break;
-      case OpCode::IMax: r.i = std::max(a.i, b.i); break;
-      case OpCode::IAbs: r.i = std::llabs(a.i); break;
-      case OpCode::IAnd: r.i = a.i & b.i; break;
-      case OpCode::IOr: r.i = a.i | b.i; break;
-      case OpCode::IXor: r.i = a.i ^ b.i; break;
-      case OpCode::IShl: r.i = a.i << b.i; break;
-      case OpCode::IShr: r.i = a.i >> b.i; break;
-      case OpCode::ICmpLt: r.i = a.i < b.i; break;
-      case OpCode::ICmpLe: r.i = a.i <= b.i; break;
-      case OpCode::ICmpEq: r.i = a.i == b.i; break;
-      case OpCode::ICmpNe: r.i = a.i != b.i; break;
-      case OpCode::FAdd: r.f = a.f + b.f; break;
-      case OpCode::FSub: r.f = a.f - b.f; break;
-      case OpCode::FMul: r.f = a.f * b.f; break;
-      case OpCode::FDiv: r.f = a.f / b.f; break;
-      case OpCode::FSqrt: r.f = std::sqrt(a.f); break;
-      case OpCode::FAbs: r.f = std::fabs(a.f); break;
-      case OpCode::FMin: r.f = std::min(a.f, b.f); break;
-      case OpCode::FMax: r.f = std::max(a.f, b.f); break;
-      case OpCode::FNeg: r.f = -a.f; break;
-      case OpCode::FCmpLt: r.i = a.f < b.f; break;
-      case OpCode::FCmpLe: r.i = a.f <= b.f; break;
-      case OpCode::FCmpEq: r.i = a.f == b.f; break;
-      case OpCode::Select: r = a.i ? b : c; break;
-      case OpCode::I2F: r.f = static_cast<double>(a.i); break;
-      case OpCode::F2I: r.i = static_cast<std::int64_t>(a.f); break;
-      case OpCode::Mov: r = a; break;
-      default: panic("bad opcode");
-    }
-    return r;
-}
-
-} // namespace
 
 HostRunResult
 HostExecutor::run(const std::vector<ArrayRef> &bindings,
@@ -142,6 +90,11 @@ HostExecutor::run(const std::vector<ArrayRef> &bindings,
 
     HostRunResult result;
     std::vector<Word> vals(_kernel.nodes.size(), Word{});
+    const auto valueOf = [&vals](int node) {
+        return node != compiler::noNode
+                   ? vals[static_cast<std::size_t>(node)]
+                   : Word{};
+    };
     std::vector<Word> carry_state(_kernel.nodes.size(), Word{});
     for (const Node &n : _kernel.nodes) {
         if (n.kind == NodeKind::Carry)
@@ -175,8 +128,9 @@ HostExecutor::run(const std::vector<ArrayRef> &bindings,
                     carry_state[static_cast<std::size_t>(id)];
                 break;
               case NodeKind::Compute:
-                vals[static_cast<std::size_t>(id)] =
-                    evalCompute(n, vals);
+                vals[static_cast<std::size_t>(id)] = compiler::evalOp(
+                    n.op, valueOf(n.inputA), valueOf(n.inputB),
+                    valueOf(n.inputC));
                 break;
               case NodeKind::Access: {
                   const ArrayRef &arr =

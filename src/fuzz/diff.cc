@@ -486,11 +486,11 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
         RunConfig cfg;
     };
     std::vector<PathSpec> specs;
-    auto mkcfg = [](ArchModel m, int predecode = -1) {
+    auto mkcfg = [](ArchModel m, bool predecode = true) {
         RunConfig cfg;
         cfg.model = m;
         cfg.verifyPlans = compiler::VerifyMode::Error;
-        cfg.predecodeOverride = predecode;
+        cfg.predecode = predecode;
         return cfg;
     };
     specs.push_back({"OoO", mkcfg(ArchModel::OoO)});
@@ -499,11 +499,11 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
         specs.push_back({"Mono-DA-IO", mkcfg(ArchModel::MonoDA_IO)});
     }
     specs.push_back(
-        {"Dist-DA-IO/interp", mkcfg(ArchModel::DistDA_IO, 0)});
+        {"Dist-DA-IO/interp", mkcfg(ArchModel::DistDA_IO, false)});
     specs.push_back(
-        {"Dist-DA-IO/predecode", mkcfg(ArchModel::DistDA_IO, 1)});
+        {"Dist-DA-IO/predecode", mkcfg(ArchModel::DistDA_IO)});
     if (opts.planRoundTrip) {
-        RunConfig replan = mkcfg(ArchModel::DistDA_IO, 1);
+        RunConfig replan = mkcfg(ArchModel::DistDA_IO);
         replan.planRoundTrip = true;
         specs.push_back({"Dist-DA-IO/replan", replan});
     }

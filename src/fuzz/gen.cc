@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "src/sim/logging.hh"
 #include "src/sim/rng.hh"
@@ -188,7 +189,7 @@ class BodyGen
     void
     step()
     {
-        switch (_rng.nextBelow(18)) {
+        switch (_rng.nextBelow(19)) {
           case 0: { // iadd / isub
               const Val a = pickInt(kBoundCap / 2);
               const Val b = pickInt(kBoundCap - a.ib);
@@ -337,7 +338,13 @@ class BodyGen
               }
               break;
           }
-          case 16: { // fcmp -> int predicate
+          case 16: { // edge operands, masked back into the discipline
+              pushInt(_b.compute(OpCode::IAnd, edgeValue(),
+                                 _b.constInt(0xFFFF)),
+                      0xFFFF, true);
+              break;
+          }
+          case 17: { // fcmp -> int predicate
               const Val a = pickFloat(kFloatCap);
               const Val b = pickFloat(kFloatCap);
               static constexpr OpCode cmps[] = {
@@ -353,6 +360,63 @@ class BodyGen
               pushFloat(_b.select(c.ref, t.ref, f.ref),
                         std::max(t.fb, f.fb));
               break;
+          }
+        }
+    }
+
+    /**
+     * One op at a corner compiler::evalOp defines but native C++ leaves
+     * undefined: INT64_MIN / -1, |INT64_MIN|, shift amounts outside
+     * [0, 63], wrapping add/mul, and out-of-range F2I. The result is
+     * arbitrary in magnitude, so callers mask it.
+     */
+    ValueRef
+    edgeValue()
+    {
+        // Operands are built in separate statements so node and random
+        // draw order do not depend on argument evaluation order.
+        constexpr std::int64_t minI =
+            std::numeric_limits<std::int64_t>::min();
+        constexpr std::int64_t maxI =
+            std::numeric_limits<std::int64_t>::max();
+        const auto operand = [this] {
+            return _rng.nextBelow(2) ? _b.constInt(minI)
+                                     : pickInt(kBoundCap).ref;
+        };
+        constexpr auto golden = static_cast<std::int64_t>(
+            0x9E3779B97F4A7C15ULL);
+        switch (_rng.nextBelow(5)) {
+          case 0: {
+              const OpCode op = _rng.nextBelow(2) ? OpCode::IDiv
+                                                  : OpCode::IRem;
+              const ValueRef a = operand();
+              return _b.compute(op, a, _b.constInt(-1));
+          }
+          case 1:
+            return _b.iabs(operand());
+          case 2: {
+              const OpCode op = _rng.nextBelow(2) ? OpCode::IShl
+                                                  : OpCode::IShr;
+              const ValueRef a = pickInt(kBoundCap).ref;
+              const std::int64_t s =
+                  static_cast<std::int64_t>(_rng.nextBelow(192)) - 64;
+              return _b.compute(op, a, _b.constInt(s));
+          }
+          case 3: {
+              const ValueRef a = pickInt(kBoundCap).ref;
+              return _rng.nextBelow(2) ? _b.iadd(_b.constInt(maxI), a)
+                                       : _b.imul(a, _b.constInt(golden));
+          }
+          default: {
+              ValueRef f;
+              if (haveFloats() && _rng.nextBelow(2)) {
+                  f = pickFloat(kFloatCap).ref;
+              } else {
+                  const double big = std::ldexp(
+                      1.0, 60 + static_cast<int>(_rng.nextBelow(8)));
+                  f = _b.constFloat(_rng.nextBelow(2) ? big : -big);
+              }
+              return _b.compute(OpCode::F2I, f);
           }
         }
     }

@@ -4,8 +4,9 @@
  * construction: affine accesses are bounds-proven for the chosen trip
  * counts, indirect indices flow only through read-only index objects
  * (or explicit rem/abs clamps), integer value magnitudes are tracked
- * conservatively through every operation so no signed arithmetic can
- * overflow, and float magnitudes are clamped before stores so values
+ * conservatively through every operation (the one step that emits
+ * compiler::evalOp's wrap/saturate edges masks its result back under
+ * the bound), and float magnitudes are clamped before stores so values
  * never reach inf/NaN. That discipline is what lets the differential
  * executor treat *any* crash or mismatch as a finding rather than a
  * generator artifact — and keeps the whole corpus clean under

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/sim/logging.hh"
-#include "src/sim/trace.hh"
 
 namespace distda::offload
 {
@@ -133,13 +132,8 @@ OffloadRuntime::invoke(const std::vector<engine::ArrayRef> &bindings,
     }
 
     // Launch every partition.
-    for (const Partition &part : _plan.partitions) {
-        DISTDA_DPRINTF(Runtime, t, "runtime",
-                       "cp_run kernel '%s' partition %d at cluster %d",
-                       _plan.kernel.name.c_str(), part.id,
-                       cluster_of(part));
+    for (const Partition &part : _plan.partitions)
         t = _iface.cpRun(cluster_of(part), t);
-    }
 
     // Concurrent decoupled execution.
     engine::InvokeResult inv = _engine.invoke(bindings, params, t);

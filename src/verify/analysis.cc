@@ -35,8 +35,7 @@ addBound(std::int64_t a, std::int64_t b)
 
 /**
  * a * b over bounds. Zero absorbs even infinities (an unbounded value
- * times zero is zero); any finite overflow saturates to the matching
- * infinity, which is a sound over-approximation.
+ * times zero is zero); an infinite factor gives the matching infinity.
  */
 std::int64_t
 mulBound(std::int64_t a, std::int64_t b)
@@ -77,6 +76,17 @@ mulExact(std::int64_t a, std::int64_t b, std::int64_t &out)
         return false;
     out = static_cast<std::int64_t>(p);
     return true;
+}
+
+/** True when finite bounds @p a and @p b sum or multiply (@p mul)
+ *  past int64, where the concrete op wraps. */
+bool
+wraps(std::int64_t a, std::int64_t b, bool mul)
+{
+    if (a == infNeg || a == infPos || b == infNeg || b == infPos)
+        return false;
+    std::int64_t r;
+    return mul ? !mulExact(a, b, r) : !addExact(a, b, r);
 }
 
 bool
@@ -163,6 +173,8 @@ Interval::add(const Interval &o) const
 {
     if (isBottom() || o.isBottom())
         return Interval{};
+    if (wraps(lo, o.lo, false) || wraps(hi, o.hi, false))
+        return top();
     return Interval{addBound(lo, o.lo), addBound(hi, o.hi)};
 }
 
@@ -177,6 +189,9 @@ Interval::mul(const Interval &o) const
 {
     if (isBottom() || o.isBottom())
         return Interval{};
+    if (wraps(lo, o.lo, true) || wraps(lo, o.hi, true) ||
+        wraps(hi, o.lo, true) || wraps(hi, o.hi, true))
+        return top();
     const std::int64_t c[4] = {mulBound(lo, o.lo), mulBound(lo, o.hi),
                                mulBound(hi, o.lo), mulBound(hi, o.hi)};
     return Interval{*std::min_element(c, c + 4),
@@ -214,6 +229,8 @@ Interval::absVal() const
         return Interval{};
     if (lo >= 0)
         return *this;
+    if (lo == infNeg)
+        return top(); // |INT64_MIN| wraps to INT64_MIN (compiler::evalOp)
     if (hi <= 0)
         return neg();
     return Interval{0, std::max(negBound(lo), hi)};
@@ -385,7 +402,6 @@ analyses()
         {"bounds", analyzeBounds},
         {"channels", analyzeChannels},
         {"purity", analyzePurity},
-        {"interference", analyzeInterference},
     };
     return all;
 }

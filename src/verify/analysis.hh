@@ -4,7 +4,7 @@
  * interval/affine value domain, the invocation profile that closes the
  * analyses over "all invocations" the host actually issued, the
  * fixpoint machinery shared by the analyses, and the analysis registry
- * (bounds, channels, purity, interference) mirroring verify::passes().
+ * (bounds, channels, purity) mirroring verify::passes().
  *
  * The soundness contract: a Proven fact holds on every execution
  * consistent with the analysis inputs (the plan, and the profile when
@@ -22,15 +22,17 @@
 #include <vector>
 
 #include "src/compiler/plan.hh"
-#include "src/noc/mesh.hh"
 #include "src/verify/facts.hh"
 
 namespace distda::verify
 {
 
 /**
- * A signed integer interval with +/-inf encoded as the int64 extremes
- * and saturating arithmetic, the base lattice of the bounds analysis.
+ * A signed integer interval with +/-inf encoded as the int64 extremes,
+ * the base lattice of the bounds analysis. Infinite bounds absorb
+ * (unbounded stays unbounded); a sum or product of finite bounds that
+ * leaves the int64 range gives top, because integer ops wrap there
+ * (compiler::evalOp).
  * Default-constructed intervals are bottom ("no value observed");
  * top() is the unconstrained interval.
  */
@@ -156,8 +158,6 @@ struct AnalysisOptions
     int channelCapacity = 64;
     /** Per-channel capacity overrides by channel id (empty: uniform). */
     std::vector<int> channelCapacities;
-    /** Mesh the clusters sit on (Table III defaults). */
-    noc::MeshParams mesh;
     /** Observed invocations; null = static-only analysis. */
     const InvocationProfile *profile = nullptr;
 
@@ -186,8 +186,6 @@ void analyzeChannels(const compiler::OffloadPlan &plan,
                      const AnalysisOptions &opts, FactStore &facts);
 void analyzePurity(const compiler::OffloadPlan &plan,
                    const AnalysisOptions &opts, FactStore &facts);
-void analyzeInterference(const compiler::OffloadPlan &plan,
-                         const AnalysisOptions &opts, FactStore &facts);
 
 /**
  * A join-semilattice cell for the interprocedural fixpoint: channel

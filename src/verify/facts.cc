@@ -102,25 +102,6 @@ FactStore::json(sim::JsonWriter &w) const
     w.endArray();
     w.endObject();
 
-    w.key("interference").beginObject();
-    w.key("partitions").value(interference.numPartitions);
-    w.key("components").value(interference.components);
-    w.key("lookahead_ticks").value(interference.lookaheadTicks);
-    w.key("lookahead_unbounded").value(interference.lookaheadUnbounded);
-    w.key("independent_pairs").beginArray();
-    for (int a = 0; a < interference.numPartitions; ++a) {
-        for (int b = a + 1; b < interference.numPartitions; ++b) {
-            if (interference.mayInteract(a, b))
-                continue;
-            w.beginArray();
-            w.value(a);
-            w.value(b);
-            w.endArray();
-        }
-    }
-    w.endArray();
-    w.endObject();
-
     w.endObject();
 }
 
@@ -154,14 +135,6 @@ FactStore::str() const
         << (purity.memoizable ? " (memoizable)" : " (not memoizable)")
         << ", reads " << purity.readObjects.size() << ", writes "
         << purity.writtenObjects.size() << " object(s)\n";
-    out << "  interference: " << interference.numPartitions
-        << " partition(s), " << interference.components
-        << " component(s), lookahead ";
-    if (interference.lookaheadUnbounded)
-        out << "unbounded";
-    else
-        out << interference.lookaheadTicks << " ticks";
-    out << '\n';
     return out.str();
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * The shared fact store of the plan-analysis framework: every analysis
- * (bounds, channel liveness, purity, interference) deposits structured,
+ * (bounds, channel liveness, purity) deposits structured,
  * machine-checkable facts about one compiled plan here. Facts carry a
- * three-valued verdict — Proven facts are load-bearing (the optimizer
- * and the parallel simulator may act on them), Violated facts are
+ * three-valued verdict — Proven facts are load-bearing (an optimizer
+ * may act on them), Violated facts are
  * guaranteed failures, Unknown is the sound default — and serialize
  * into the run-report JSON so tooling and the differential fuzzer's
  * soundness oracle can cross-check them against dynamic observation.
@@ -89,33 +89,6 @@ struct PurityFact
     std::vector<int> writtenObjects; ///< kernel object ids stored
 };
 
-/** Cluster-interference fact: who can affect whom, and how fast. */
-struct InterferenceFact
-{
-    int numPartitions = 0;
-    /** Row-major numPartitions^2 may-interact matrix (reflexive). */
-    std::vector<std::uint8_t> interacts;
-    /** Number of connected components of the channel graph. */
-    int components = 0;
-    /**
-     * Conservative lookahead window for a cluster-partitioned parallel
-     * simulator: no cross-cluster effect propagates in fewer ticks
-     * than this (min mesh hop + serialization). 0 when unbounded.
-     */
-    std::uint64_t lookaheadTicks = 0;
-    /** True when no channel crosses partitions at all. */
-    bool lookaheadUnbounded = false;
-
-    bool
-    mayInteract(int a, int b) const
-    {
-        if (a < 0 || b < 0 || a >= numPartitions || b >= numPartitions)
-            return true; // conservative on bad indices
-        return interacts[static_cast<std::size_t>(a * numPartitions + b)]
-               != 0;
-    }
-};
-
 /** Everything the analyses proved about one compiled plan. */
 struct FactStore
 {
@@ -124,14 +97,13 @@ struct FactStore
     Verdict deadlockFree = Verdict::Unknown;
     std::vector<ChannelFact> channels;
     PurityFact purity;
-    InterferenceFact interference;
 
     /** Count of bounds facts with the given verdict. */
     int boundsCount(Verdict v) const;
     /** Total count of Violated facts across every analysis. */
     int violations() const;
 
-    /** Serialize as one JSON object (keys up through interference). */
+    /** Serialize as one JSON object. */
     void json(sim::JsonWriter &w) const;
     /** Human-readable multi-line summary. */
     std::string str() const;

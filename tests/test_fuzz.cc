@@ -160,6 +160,31 @@ TEST(FuzzValidate, CatchesDuplicateBindingsAndBadTrips)
     }
 }
 
+TEST(FuzzValidate, DivisorMayBeNegativeButNotZero)
+{
+    QuietGuard quiet;
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        FuzzCase c = fuzz::generateCase(seed);
+        for (compiler::Kernel &k : c.kernels) {
+            for (const compiler::Node &n : k.nodes) {
+                if (n.kind != compiler::NodeKind::Compute ||
+                    (n.op != compiler::OpCode::IDiv &&
+                     n.op != compiler::OpCode::IRem))
+                    continue;
+                // INT64_MIN / -1 is defined (it wraps); zero traps.
+                compiler::Node &d = k.node(n.inputB);
+                d.imm.i = -1;
+                EXPECT_EQ(fuzz::validateCase(c), "");
+                d.imm.i = 0;
+                EXPECT_NE(fuzz::validateCase(c).find("nonzero ConstInt"),
+                          std::string::npos);
+                return;
+            }
+        }
+    }
+    FAIL() << "no generated case divides";
+}
+
 TEST(FuzzDiff, GeneratedCasesAgreeAcrossAllPaths)
 {
     QuietGuard quiet;

@@ -3,12 +3,15 @@
  * Per-opcode differential tests: every ALU operation the microcode ISA
  * defines is exercised through a kernel on both the host executor and
  * the distributed engine, against a native lambda reference —
- * including the corner operand values each op class is sensitive to.
+ * including the corner operand values each op class is sensitive to,
+ * and the wrap, saturate, shift-mask and trap edges that
+ * compiler::evalOp defines.
  */
 
 #include <cmath>
 #include <functional>
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "src/driver/context.hh"
 #include "src/driver/system.hh"
@@ -262,5 +265,122 @@ TEST(OpcodeShift, ShiftsAndConversions)
         const std::int64_t v =
             ((static_cast<std::int64_t>(i) + 1) << 3) >> 1;
         EXPECT_EQ(out.getF(i), static_cast<double>(v) + 1.0) << i;
+    }
+}
+
+namespace
+{
+
+constexpr std::int64_t intMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t intMax = std::numeric_limits<std::int64_t>::max();
+
+/** c[i] = op(a[i], b[i]) under @p model; returns c's integer view. */
+std::vector<std::int64_t>
+runEdgeKernel(OpCode op, const std::vector<Word> &as,
+              const std::vector<std::int64_t> &bs, bool a_float,
+              driver::ArchModel model)
+{
+    const std::uint64_t n = as.size();
+    driver::SystemParams sp;
+    driver::System sys(sp);
+    auto a = sys.alloc("a", n, 8, a_float);
+    auto b = sys.alloc("b", n, 8, false);
+    auto c = sys.alloc("c", n, 8, false);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (a_float)
+            a.setF(i, as[i].f);
+        else
+            a.setI(i, as[i].i);
+        b.setI(i, bs[i]);
+    }
+    const bool unary = op == OpCode::IAbs || op == OpCode::F2I;
+    KernelBuilder kb(std::string("edge_") + compiler::opName(op));
+    const int oa = kb.object("a", n, 8, a_float);
+    const int ob = unary ? -1 : kb.object("b", n, 8, false);
+    const int oc = kb.object("c", n, 8, false);
+    kb.loopStatic(static_cast<std::int64_t>(n));
+    auto x = kb.load(oa, kb.affine(0, 1));
+    auto y = unary ? compiler::ValueRef{} : kb.load(ob, kb.affine(0, 1));
+    kb.store(oc, kb.affine(0, 1), kb.compute(op, x, y));
+    const compiler::Kernel kernel = kb.build();
+
+    driver::RunConfig cfg;
+    cfg.model = model;
+    ExecContext ctx(sys, cfg);
+    if (unary)
+        ctx.invoke(kernel, {a, c}, {});
+    else
+        ctx.invoke(kernel, {a, b, c}, {});
+    std::vector<std::int64_t> out(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        out[i] = c.getI(i);
+    return out;
+}
+
+struct EdgeCase
+{
+    OpCode op;
+    std::vector<Word> a;
+    std::vector<std::int64_t> b; ///< unread by unary ops
+    std::vector<std::int64_t> want;
+    bool aFloat = false;
+};
+
+constexpr driver::ArchModel edgeModels[] = {driver::ArchModel::OoO,
+                                             driver::ArchModel::DistDA_IO,
+                                             driver::ArchModel::DistDA_F};
+
+} // namespace
+
+TEST(OpcodeEdges, WrapSaturateAndMaskAlikeOnHostAndEngine)
+{
+    setInformEnabled(false);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<EdgeCase> table = {
+        {OpCode::IAdd, {wi(intMax), wi(intMin)}, {1, -1}, {intMin, intMax}},
+        {OpCode::ISub, {wi(intMin), wi(intMax)}, {1, -1}, {intMax, intMin}},
+        {OpCode::IMul, {wi(intMin), wi(intMax)}, {-1, 2}, {intMin, -2}},
+        {OpCode::IDiv, {wi(intMin), wi(7), wi(-7)}, {-1, -2, 2},
+         {intMin, -3, -3}},
+        {OpCode::IRem, {wi(intMin), wi(7), wi(-7)}, {-1, -2, 2},
+         {0, 1, -1}},
+        {OpCode::IAbs, {wi(intMin), wi(-5)}, {0, 0}, {intMin, 5}},
+        {OpCode::IShl, {wi(1), wi(1), wi(1), wi(3)}, {64, 65, -1, 130},
+         {1, 2, intMin, 12}},
+        {OpCode::IShr, {wi(-8), wi(intMin), wi(5), wi(-1)}, {65, 63, 64, -1},
+         {-4, -1, 5, -1}},
+        {OpCode::F2I,
+         {wf(1e19), wf(-1e19), wf(nan), wf(-2.9), wf(-9223372036854775808.0)},
+         {0, 0, 0, 0, 0},
+         {intMax, intMin, 0, -2, intMin},
+         true},
+    };
+    for (const EdgeCase &ec : table) {
+        for (driver::ArchModel model : edgeModels) {
+            EXPECT_EQ(runEdgeKernel(ec.op, ec.a, ec.b, ec.aFloat, model),
+                      ec.want)
+                << compiler::opName(ec.op) << " under "
+                << archModelName(model);
+        }
+    }
+}
+
+TEST(OpcodeEdges, IntegerDivisionByZeroTrapsEverywhere)
+{
+    setInformEnabled(false);
+    for (OpCode op : {OpCode::IDiv, OpCode::IRem}) {
+        for (driver::ArchModel model : edgeModels) {
+            ScopedFailureCapture capture;
+            try {
+                runEdgeKernel(op, {wi(6), wi(6)}, {3, 0}, false, model);
+                ADD_FAILURE() << compiler::opName(op) << " under "
+                              << archModelName(model) << " did not trap";
+            } catch (const SimFailure &f) {
+                EXPECT_FALSE(f.isPanic());
+                EXPECT_NE(std::string(f.what()).find("by zero"),
+                          std::string::npos)
+                    << f.what();
+            }
+        }
     }
 }

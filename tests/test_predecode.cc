@@ -13,19 +13,12 @@
 #include "src/driver/context.hh"
 #include "src/driver/runner.hh"
 #include "src/driver/system.hh"
-#include "src/engine/actor.hh"
 #include "src/workloads/workload.hh"
 
 namespace
 {
 
 using namespace distda;
-
-/** Restore the global predecode toggle no matter how the test exits. */
-struct PredecodeGuard
-{
-    ~PredecodeGuard() { engine::setPredecodeEnabled(true); }
-};
 
 void
 expectSameMetrics(const driver::Metrics &a, const driver::Metrics &b,
@@ -53,9 +46,9 @@ driver::Metrics
 runWith(bool predecode, const std::string &workload,
         driver::ArchModel model)
 {
-    engine::setPredecodeEnabled(predecode);
     driver::RunConfig config;
     config.model = model;
+    config.predecode = predecode;
     driver::RunOptions opts;
     opts.scale = 0.25;
     return driver::runWorkload(workload, config, opts);
@@ -68,7 +61,6 @@ runWith(bool predecode, const std::string &workload,
  */
 TEST(Predecode, MatchesInterpreterOnEveryWorkload)
 {
-    PredecodeGuard guard;
     for (const std::string &w : workloads::workloadNames()) {
         for (driver::ArchModel m : {driver::ArchModel::DistDA_IO,
                                     driver::ArchModel::DistDA_F}) {
@@ -84,7 +76,6 @@ TEST(Predecode, MatchesInterpreterOnEveryWorkload)
 /** The private-cache (Mono-CA) and forwarding (Mono-DA) port paths. */
 TEST(Predecode, MatchesInterpreterOnMonolithicConfigs)
 {
-    PredecodeGuard guard;
     for (driver::ArchModel m : {driver::ArchModel::MonoCA,
                                 driver::ArchModel::MonoDA_F}) {
         const auto slow = runWith(false, "pr", m);
@@ -96,17 +87,16 @@ TEST(Predecode, MatchesInterpreterOnMonolithicConfigs)
 }
 
 /**
- * Multi-kernel equivalence with warm plan caches, through the
- * per-engine override (RunConfig::predecodeOverride) instead of the
- * global toggle: two distinct kernels, each invoked three times in one
- * context, so re-invocations hit the cached CompiledKernel and the
- * cached predecoded streams. Metrics and memory must stay
+ * Multi-kernel equivalence with warm plan caches: two distinct
+ * kernels, each invoked three times in one context, so
+ * re-invocations hit the cached CompiledKernel and the cached
+ * predecoded streams. Metrics and memory must stay
  * bit-identical between the interpreter and predecode paths.
  */
 TEST(Predecode, MatchesInterpreterOnMultiKernelWarmCacheRuns)
 {
     const std::uint64_t n = 192;
-    auto runOnce = [n](int predecode, std::vector<double> &out) {
+    auto runOnce = [n](bool predecode, std::vector<double> &out) {
         driver::SystemParams sp;
         driver::System sys(sp);
         auto a = sys.alloc("a", n, 8, false);
@@ -138,7 +128,7 @@ TEST(Predecode, MatchesInterpreterOnMultiKernelWarmCacheRuns)
 
         driver::RunConfig cfg;
         cfg.model = driver::ArchModel::DistDA_IO;
-        cfg.predecodeOverride = predecode;
+        cfg.predecode = predecode;
         driver::ExecContext ctx(sys, cfg);
         std::int64_t sum = 0;
         for (int rep = 0; rep < 3; ++rep) {
@@ -158,8 +148,8 @@ TEST(Predecode, MatchesInterpreterOnMultiKernelWarmCacheRuns)
 
     std::vector<double> interp;
     std::vector<double> pre;
-    runOnce(0, interp);
-    runOnce(1, pre);
+    runOnce(false, interp);
+    runOnce(true, pre);
     ASSERT_EQ(interp.size(), pre.size());
     for (std::size_t i = 0; i < interp.size(); ++i)
         EXPECT_EQ(interp[i], pre[i]) << "field " << i;

@@ -12,10 +12,8 @@
 #include "src/sim/rng.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
-#include "src/sim/trace.hh"
 
 #include <cmath>
-#include <set>
 
 using namespace distda;
 using sim::Tick;
@@ -218,29 +216,6 @@ TEST(Stats, MissingStatPanics)
     EXPECT_DEATH((void)g.get("nope"), "not found");
 }
 
-TEST(Trace, FlagParsingAndEnable)
-{
-    trace::setEnabled(trace::Flag::Stream, false);
-    trace::setEnabled(trace::Flag::Actor, false);
-    EXPECT_FALSE(trace::enabled(trace::Flag::Stream));
-    trace::enableFromList("Stream,Actor");
-    EXPECT_TRUE(trace::enabled(trace::Flag::Stream));
-    EXPECT_TRUE(trace::enabled(trace::Flag::Actor));
-    EXPECT_FALSE(trace::enabled(trace::Flag::Noc));
-    trace::setEnabled(trace::Flag::Stream, false);
-    trace::setEnabled(trace::Flag::Actor, false);
-}
-
-TEST(Trace, FlagNamesUnique)
-{
-    std::set<std::string> names;
-    for (unsigned i = 0;
-         i < static_cast<unsigned>(trace::Flag::NumFlags); ++i)
-        names.insert(trace::flagName(static_cast<trace::Flag>(i)));
-    EXPECT_EQ(names.size(),
-              static_cast<std::size_t>(trace::Flag::NumFlags));
-}
-
 TEST(Stats, DistributionMoments)
 {
     stats::Distribution d(0.0, 10.0, 5);
@@ -335,34 +310,6 @@ TEST(Stats, JsonDumpRoundTrips)
               std::string::npos);
     EXPECT_NE(text.find("\"count\":2"), std::string::npos);
     EXPECT_NE(text.find("\"mean\":3"), std::string::npos);
-}
-
-TEST(Trace, EnableAllKeyword)
-{
-    for (unsigned i = 0;
-         i < static_cast<unsigned>(trace::Flag::NumFlags); ++i)
-        trace::setEnabled(static_cast<trace::Flag>(i), false);
-    trace::enableFromList("all");
-    for (unsigned i = 0;
-         i < static_cast<unsigned>(trace::Flag::NumFlags); ++i)
-        EXPECT_TRUE(trace::enabled(static_cast<trace::Flag>(i)))
-            << trace::flagName(static_cast<trace::Flag>(i));
-    for (unsigned i = 0;
-         i < static_cast<unsigned>(trace::Flag::NumFlags); ++i)
-        trace::setEnabled(static_cast<trace::Flag>(i), false);
-}
-
-TEST(Trace, UnknownAndEmptyListsAreNoOps)
-{
-    for (unsigned i = 0;
-         i < static_cast<unsigned>(trace::Flag::NumFlags); ++i)
-        trace::setEnabled(static_cast<trace::Flag>(i), false);
-    trace::enableFromList("");           // empty list: nothing happens
-    trace::enableFromList("NoSuchFlag"); // warns, enables nothing
-    trace::enableFromList(",,");         // empty elements skipped
-    for (unsigned i = 0;
-         i < static_cast<unsigned>(trace::Flag::NumFlags); ++i)
-        EXPECT_FALSE(trace::enabled(static_cast<trace::Flag>(i)));
 }
 
 TEST(P2Quantile, ExactForSmallSamples)

@@ -31,9 +31,9 @@
  *
  * --analyze runs each selected (workload, config) pair once with
  * invocation profiling on and prints the plan-analysis facts (bounds,
- * channel liveness, purity, interference; see DESIGN.md §6) per
- * kernel; --analyze=json emits one JSON document instead. The exit
- * status is nonzero iff any fact is Violated.
+ * channel liveness, purity; see DESIGN.md §6) per kernel;
+ * --analyze=json emits one JSON document instead. The exit status is
+ * nonzero iff any fact is Violated.
  *
  * --breakdown prints a Table-VI-style per-kernel offload-lifecycle
  * phase table after every run: per-phase latency share (enqueue,
