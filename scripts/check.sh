@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full verification, mirroring what CI would run:
 #   1. configure + build into a throwaway build dir
-#   2. fast static-verification smoke pass over every workload
+#   2. fast static-verification smoke pass over every workload and
+#      config, with the --verify-json reports validated by python3
 #   3. full test suite
 #   4. parallel-sweep determinism smoke (--jobs=1 vs --jobs=N CSV)
 #      plus byte-identity against the committed golden CSV
@@ -45,11 +46,26 @@ echo "===== configure + build ($BUILD)"
 cmake -B "$BUILD" $GEN >/dev/null
 cmake --build "$BUILD" -j "$(nproc)"
 
-echo "===== static verification smoke (all workloads, Dist-DA-F)"
+echo "===== static verification smoke (all workloads, all configs)"
 for w in dis tra fdt cho adi sei pf nw bfs pr pch pca spmv; do
-    "$BUILD"/tools/distda_run --workload="$w" --config=Dist-DA-F \
-        --verify-only
+    "$BUILD"/tools/distda_run --workload="$w" --config=all \
+        --verify-json="$BUILD/verify-$w.json"
 done
+python3 - "$BUILD"/verify-*.json <<'EOF'
+import json
+import sys
+
+results = 0
+for path in sys.argv[1:]:
+    for r in json.load(open(path))["results"]:
+        name = f"{path}: {r['workload']}/{r['config']}/{r['kernel']}"
+        for key in ("partitions", "channels", "diagnostics"):
+            assert key in r, f"{name}: result missing '{key}'"
+        assert r["errors"] == 0, f"{name}: {r['diagnostics']}"
+        results += 1
+assert results > 0, "no verification results"
+print(f"verify-json OK ({results} kernel results, 0 errors)")
+EOF
 
 echo "===== tests"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"

@@ -1,12 +1,16 @@
 #include "src/compiler/plan_io.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 
 #include "src/sim/logging.hh"
+#include "src/verify/verify.hh"
 
 namespace distda::compiler
 {
@@ -763,145 +767,12 @@ validatePlanArtifact(const OffloadPlan &plan)
         return strfmt("fingerprint mismatch: recorded %s, content %s",
                       plan.fingerprint.c_str(), fp.c_str());
     }
-    const int num_nodes = static_cast<int>(plan.kernel.nodes.size());
-    const int num_parts = static_cast<int>(plan.partitions.size());
-    const int num_chans = static_cast<int>(plan.channels.size());
-    std::vector<int> node_home(static_cast<std::size_t>(num_nodes), -1);
-    for (int pi = 0; pi < num_parts; ++pi) {
-        const Partition &p =
-            plan.partitions[static_cast<std::size_t>(pi)];
-        if (p.id != pi)
-            return strfmt("partition %d has id %d (want dense ids)", pi,
-                          p.id);
-        for (int n : p.nodes) {
-            if (n < 0 || n >= num_nodes)
-                return strfmt("partition %d maps unknown node %d", pi,
-                              n);
-            if (node_home[static_cast<std::size_t>(n)] >= 0)
-                return strfmt("node %d mapped to partitions %d and %d",
-                              n, node_home[static_cast<std::size_t>(n)],
-                              pi);
-            node_home[static_cast<std::size_t>(n)] = pi;
-        }
-        for (int c : p.inChannels) {
-            if (c < 0 || c >= num_chans)
-                return strfmt("partition %d consumes unknown channel "
-                              "%d", pi, c);
-        }
-        for (int c : p.outChannels) {
-            if (c < 0 || c >= num_chans)
-                return strfmt("partition %d produces unknown channel "
-                              "%d", pi, c);
-        }
-        for (const AccessorDef &a : p.accessors) {
-            if (a.node < 0 || a.node >= num_nodes)
-                return strfmt("partition %d accessor on unknown node "
-                              "%d", pi, a.node);
-            bool obj_known = false;
-            for (const MemObjectDecl &o : plan.kernel.objects)
-                obj_known = obj_known || o.id == a.objId;
-            if (!obj_known)
-                return strfmt("partition %d accessor on unknown object "
-                              "%d", pi, a.objId);
-        }
-        const MicroProgram &prog = p.program;
-        const auto reg_ok = [&prog](std::uint16_t r) {
-            return r == noReg || static_cast<int>(r) < prog.numRegs;
-        };
-        if (prog.ivReg != noReg && !reg_ok(prog.ivReg))
-            return strfmt("partition %d ivReg out of range", pi);
-        for (std::size_t ii = 0; ii < prog.insts.size(); ++ii) {
-            const MicroInst &inst = prog.insts[ii];
-            if (!reg_ok(inst.dst) || !reg_ok(inst.a) ||
-                !reg_ok(inst.b) || !reg_ok(inst.c)) {
-                return strfmt("partition %d inst %zu references a "
-                              "register >= numRegs (%d)", pi, ii,
-                              prog.numRegs);
-            }
-            std::size_t limit = 0;
-            bool needs_slot = true;
-            switch (inst.kind) {
-              case MicroKind::LoadStream:
-              case MicroKind::StoreStream:
-              case MicroKind::LoadIdx:
-              case MicroKind::StoreIdx:
-                limit = p.accessors.size();
-                break;
-              case MicroKind::Consume:
-                limit = p.inChannels.size();
-                break;
-              case MicroKind::Produce:
-                limit = p.outChannels.size();
-                break;
-              case MicroKind::CarryWrite:
-                limit = prog.carries.size();
-                break;
-              default:
-                needs_slot = false;
-                break;
-            }
-            if (needs_slot &&
-                (inst.slot < 0 ||
-                 static_cast<std::size_t>(inst.slot) >= limit)) {
-                return strfmt("partition %d inst %zu slot %d out of "
-                              "range (limit %zu)", pi, ii, inst.slot,
-                              limit);
-            }
-        }
-        for (const auto &[param, reg] : prog.paramRegs) {
-            if (param < 0 ||
-                static_cast<std::size_t>(param) >=
-                    plan.kernel.paramNames.size())
-                return strfmt("partition %d preloads unknown param %d",
-                              pi, param);
-            if (!reg_ok(reg) || reg == noReg)
-                return strfmt("partition %d param preload register out "
-                              "of range", pi);
-        }
-        for (const MicroProgram::ConstReg &cr : prog.constRegs) {
-            if (!reg_ok(cr.reg) || cr.reg == noReg)
-                return strfmt("partition %d const preload register out "
-                              "of range", pi);
-        }
-        for (const CarrySlot &cs : prog.carries) {
-            if (!reg_ok(cs.reg) || cs.reg == noReg)
-                return strfmt("partition %d carry register out of "
-                              "range", pi);
-            if (cs.node < 0 || cs.node >= num_nodes)
-                return strfmt("partition %d carry on unknown node %d",
-                              pi, cs.node);
-        }
+    const verify::Report report =
+        verify::verifyPlan(plan, verify::optionsFor(plan.options));
+    for (const verify::Diag &d : report.diags()) {
+        if (d.severity == verify::Severity::Error)
+            return d.str();
     }
-    for (const ChannelDef &c : plan.channels) {
-        if (c.srcPartition < 0 || c.srcPartition >= num_parts)
-            return strfmt("channel %d has unknown source partition %d",
-                          c.id, c.srcPartition);
-        if (c.dstPartition < -1 || c.dstPartition >= num_parts)
-            return strfmt("channel %d has unknown dest partition %d",
-                          c.id, c.dstPartition);
-        if (c.srcNode != noNode &&
-            (c.srcNode < 0 || c.srcNode >= num_nodes))
-            return strfmt("channel %d sourced by unknown node %d", c.id,
-                          c.srcNode);
-        if (c.bits == 0)
-            return strfmt("channel %d has zero width", c.id);
-    }
-    const OffloadCharacteristics &ch = plan.characteristics;
-    if (ch.numPartitions != num_parts)
-        return strfmt("characteristics claim %d partitions, plan has "
-                      "%d", ch.numPartitions, num_parts);
-    if (ch.maxInstBytes !=
-        ch.maxInsts * static_cast<int>(microInstBytes))
-        return strfmt("characteristics insts(B) %d != 8 * %d",
-                      ch.maxInstBytes, ch.maxInsts);
-    int max_insts = 0;
-    for (const Partition &p : plan.partitions) {
-        max_insts = std::max(
-            max_insts, static_cast<int>(p.program.insts.size()));
-    }
-    if (ch.maxInsts != max_insts)
-        return strfmt("characteristics claim max %d insts, programs "
-                      "have %d", ch.maxInsts, max_insts);
     return {};
 }
 
@@ -920,9 +791,14 @@ planArtifactFile(const std::string &kernel_name,
 void
 savePlan(const OffloadPlan &plan, const std::string &path)
 {
-    // Temp-file + rename: concurrent sweep jobs dumping the same
-    // fingerprint must never expose a torn artifact.
-    const std::string tmp = path + ".tmp";
+    // Temp-file + rename: concurrent writers of the same fingerprint
+    // (sweep jobs, or processes sharing a --plan-dir) each write a
+    // private temp file, so none truncates or renames away another's
+    // and no reader ever sees a torn artifact.
+    static std::atomic<unsigned> serial{0};
+    const std::string tmp = strfmt("%s.tmp.%d.%u", path.c_str(),
+                                   static_cast<int>(::getpid()),
+                                   serial.fetch_add(1));
     {
         std::ofstream out(tmp);
         if (!out)

@@ -51,12 +51,13 @@ std::string serializePlan(const OffloadPlan &plan);
 OffloadPlan parsePlan(const std::string &text);
 
 /**
- * Structural validation of a (possibly deserialized) plan: kernel
- * well-formedness, partition/channel/accessor/microcode cross
- * references, characteristics consistency, and that the recorded
- * fingerprint matches the recomputed one. Returns an empty string
- * when the plan is sound, else a one-line description of the first
- * defect found.
+ * Validation of a (possibly deserialized) plan: kernel
+ * well-formedness and that the recorded fingerprint matches the
+ * recomputed one, then every verify::passes() check (partition,
+ * channel, accessor and microcode cross references, characteristics
+ * consistency, liveness) under the plan's own compile options.
+ * Returns an empty string when the plan is sound, else a one-line
+ * description of the first defect found.
  */
 std::string validatePlanArtifact(const OffloadPlan &plan);
 

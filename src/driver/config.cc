@@ -148,4 +148,13 @@ RunConfig::engineConfig() const
     return cfg;
 }
 
+verify::Options
+RunConfig::verifyOptions() const
+{
+    verify::Options opts = verify::optionsFor(compileOptions());
+    if (cgra())
+        opts.fabric = engineConfig().fabric;
+    return opts;
+}
+
 } // namespace distda::driver

@@ -21,6 +21,7 @@
 
 #include "src/compiler/plan.hh"
 #include "src/engine/engine.hh"
+#include "src/verify/verify.hh"
 
 namespace distda::driver
 {
@@ -95,12 +96,12 @@ struct RunConfig
     compiler::VerifyMode verifyPlans = compiler::VerifyMode::Error;
 
     /**
-     * Record invocation profiles and run the plan analyses
-     * (src/verify/analysis.hh) over every compiled kernel. Off by
+     * Record per-kernel invocation profiles (src/verify/analysis.hh)
+     * for ExecContext::analyzeAll() to verify against. Off by
      * default: profile recording costs a little per invoke and the
      * perf gate measures the plain path.
      */
-    bool analyzePlans = false;
+    bool recordProfiles = false;
 
     /**
      * Run actors on the predecoded stream (default); false forces the
@@ -152,6 +153,12 @@ struct RunConfig
 
     /** Engine configuration implied by the model. */
     engine::EngineConfig engineConfig() const;
+
+    /**
+     * Static-verification parameters implied by the model: the
+     * compile options' depths, plus the fabric on CGRA models.
+     */
+    verify::Options verifyOptions() const;
 };
 
 } // namespace distda::driver

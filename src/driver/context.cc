@@ -138,7 +138,7 @@ ExecContext::invoke(const compiler::Kernel &kernel,
                     const std::vector<compiler::Word> &params)
 {
     CompiledKernel &ck = compiled(kernel);
-    if (_config.analyzePlans || _probe)
+    if (_config.recordProfiles || _probe)
         recordProfile(ck, kernel, bindings, params);
     const sim::Tick t0 = _now;
     offload::OffloadRecord rec;
@@ -284,14 +284,13 @@ ExecContext::recordProfile(CompiledKernel &ck,
     ck.profile.record(kernel, param_ints, object_elems, aliased);
 }
 
-std::vector<verify::FactStore>
+std::vector<verify::Report>
 ExecContext::analyzeAll() const
 {
-    std::vector<verify::FactStore> all;
+    std::vector<verify::Report> all;
     for (const auto &[name, ck] : _kernels) {
-        verify::AnalysisOptions ao;
-        ao.channelCapacity = ck.plan->options.channelCapacity;
-        ao.profile = &ck.profile;
+        verify::Options vo = _config.verifyOptions();
+        vo.profile = &ck.profile;
         if (ck.runtime) {
             // The engine's instantiated topology is authoritative for
             // per-channel FIFO depths.
@@ -300,14 +299,14 @@ ExecContext::analyzeAll() const
                 if (e.id < 0)
                     continue;
                 if (static_cast<std::size_t>(e.id) >=
-                    ao.channelCapacities.size())
-                    ao.channelCapacities.resize(
+                    vo.channelCapacities.size())
+                    vo.channelCapacities.resize(
                         static_cast<std::size_t>(e.id) + 1, 0);
-                ao.channelCapacities[static_cast<std::size_t>(e.id)] =
+                vo.channelCapacities[static_cast<std::size_t>(e.id)] =
                     e.capacity;
             }
         }
-        all.push_back(verify::analyzePlan(*ck.plan, ao));
+        all.push_back(verify::verifyPlan(*ck.plan, vo));
     }
     return all;
 }

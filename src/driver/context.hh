@@ -21,6 +21,7 @@
 #include "src/engine/host_exec.hh"
 #include "src/offload/runtime.hh"
 #include "src/verify/analysis.hh"
+#include "src/verify/verify.hh"
 
 namespace distda::driver
 {
@@ -94,13 +95,13 @@ class ExecContext
         const compiler::Kernel &kernel);
 
     /**
-     * Run the plan analyses over every kernel compiled so far, against
-     * the invocation profiles recorded during the run (kernel-name
-     * order). Profiles are recorded when config().analyzePlans is set
-     * or a probe is attached; otherwise the analyses fall back to
-     * static-only facts.
+     * Run every verification pass over every kernel compiled so far,
+     * against the run's engine parameters and the invocation profiles
+     * recorded during the run (kernel-name order). Profiles are
+     * recorded when config().recordProfiles is set or a probe is
+     * attached; otherwise the analyses fall back to static-only facts.
      */
-    std::vector<verify::FactStore> analyzeAll() const;
+    std::vector<verify::Report> analyzeAll() const;
 
     /** Collect final metrics (workload/validated filled by runner). */
     Metrics finish();

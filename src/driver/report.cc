@@ -84,7 +84,7 @@ metricsJson(sim::JsonWriter &w, const Metrics &m)
 
 std::string
 buildRunReport(const Metrics &m, System &sys, const sim::Probe *probe,
-               const std::vector<verify::FactStore> *analysis)
+               const std::vector<verify::Report> *analysis)
 {
     // Fresh groups per report: exportStats() registers stat names, and
     // Group panics on duplicates, so the tree must not be reused.
@@ -128,8 +128,11 @@ buildRunReport(const Metrics &m, System &sys, const sim::Probe *probe,
     }
     if (analysis) {
         w.key("analysis").beginArray();
-        for (const verify::FactStore &f : *analysis)
-            f.json(w);
+        for (const verify::Report &r : *analysis) {
+            w.beginObject();
+            r.jsonFields(w);
+            w.endObject();
+        }
         w.endArray();
     }
     w.endObject();
@@ -139,7 +142,7 @@ buildRunReport(const Metrics &m, System &sys, const sim::Probe *probe,
 bool
 writeRunReport(const std::string &path, const Metrics &m, System &sys,
                const sim::Probe *probe,
-               const std::vector<verify::FactStore> *analysis)
+               const std::vector<verify::Report> *analysis)
 {
     return sim::writeTextFile(path,
                               buildRunReport(m, sys, probe, analysis));

@@ -15,7 +15,7 @@
 
 #include "src/driver/metrics.hh"
 #include "src/driver/system.hh"
-#include "src/verify/facts.hh"
+#include "src/verify/diag.hh"
 
 namespace distda::sim
 {
@@ -29,17 +29,18 @@ namespace distda::driver
  * Serialize a run report as JSON text. @p probe may be null (report
  * without timeline-derived distributions); @p sys supplies the
  * hierarchy and energy stats trees. @p analysis (optional) adds an
- * "analysis" section with one fact store per analyzed kernel.
+ * "analysis" section with one verification report (diagnostics and
+ * facts) per analyzed kernel.
  */
 std::string
 buildRunReport(const Metrics &m, System &sys, const sim::Probe *probe,
-               const std::vector<verify::FactStore> *analysis = nullptr);
+               const std::vector<verify::Report> *analysis = nullptr);
 
 /** buildRunReport() written to @p path; false (with warn) on error. */
 bool
 writeRunReport(const std::string &path, const Metrics &m, System &sys,
                const sim::Probe *probe,
-               const std::vector<verify::FactStore> *analysis = nullptr);
+               const std::vector<verify::Report> *analysis = nullptr);
 
 } // namespace distda::driver
 

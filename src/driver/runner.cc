@@ -73,19 +73,19 @@ runWorkload(const std::string &workload, const RunConfig &config,
         // The probe implies invocation profiles were recorded, so the
         // analysis section rides along for free; a report requested
         // without a probe (serve fast path) omits it.
-        std::vector<verify::FactStore> facts;
-        const std::vector<verify::FactStore> *facts_ptr = nullptr;
+        std::vector<verify::Report> reports;
+        const std::vector<verify::Report> *reports_ptr = nullptr;
         if (probe) {
-            facts = ctx.analyzeAll();
-            facts_ptr = &facts;
+            reports = ctx.analyzeAll();
+            reports_ptr = &reports;
         }
         if (!opts.obs.statsJsonPath.empty()) {
             writeRunReport(opts.obs.statsJsonPath, m, sys, probe.get(),
-                           facts_ptr);
+                           reports_ptr);
         }
         if (opts.obs.reportOut) {
             *opts.obs.reportOut =
-                buildRunReport(m, sys, probe.get(), facts_ptr);
+                buildRunReport(m, sys, probe.get(), reports_ptr);
         }
     }
     return m;
@@ -113,12 +113,8 @@ verifyWorkload(const std::string &workload, const RunConfig &config,
         const compiler::OffloadPlan plan =
             compiler::compileKernel(*kernel, co);
 
-        verify::Options vo = verify::optionsFor(co);
-        if (config.cgra()) {
-            vo.checkCgra = true;
-            vo.fabric = config.engineConfig().fabric;
-        }
-        const verify::Report report = verify::verifyPlan(plan, vo);
+        const verify::Report report =
+            verify::verifyPlan(plan, config.verifyOptions());
         std::printf("%s/%s under %s: %zu partitions, %zu channels: "
                     "%d error(s), %d warning(s)\n",
                     workload.c_str(), kernel->name.c_str(),
@@ -132,9 +128,7 @@ verifyWorkload(const std::string &workload, const RunConfig &config,
             KernelVerifyResult r;
             r.workload = workload;
             r.config = archModelName(config.model);
-            r.kernel = kernel->name;
             r.partitions = plan.partitions.size();
-            r.channels = plan.channels.size();
             r.report = report;
             collect->push_back(std::move(r));
         }
@@ -147,7 +141,7 @@ analyzeWorkload(const std::string &workload, const RunConfig &config,
                 const RunOptions &opts, sim::JsonWriter *json)
 {
     RunConfig cfg = config;
-    cfg.analyzePlans = true;
+    cfg.recordProfiles = true;
 
     auto wl = workloads::makeWorkload(workload, opts.scale);
     SystemParams sp;
@@ -159,29 +153,32 @@ analyzeWorkload(const std::string &workload, const RunConfig &config,
     ExecContext ctx(sys, cfg);
     wl->run(ctx);
 
-    const std::vector<verify::FactStore> facts = ctx.analyzeAll();
-    int violations = 0;
-    for (const verify::FactStore &f : facts)
-        violations += f.violations();
+    const std::vector<verify::Report> reports = ctx.analyzeAll();
+    int errors = 0;
+    for (const verify::Report &r : reports)
+        errors += r.errorCount();
 
     if (json) {
         json->beginObject();
         json->key("workload").value(workload);
         json->key("config").value(archModelName(cfg.model));
         json->key("kernels").beginArray();
-        for (const verify::FactStore &f : facts)
-            f.json(*json);
+        for (const verify::Report &r : reports) {
+            json->beginObject();
+            r.jsonFields(*json);
+            json->endObject();
+        }
         json->endArray();
         json->endObject();
     } else {
         std::printf("%s under %s: %zu kernel(s) analyzed, "
-                    "%d violation(s)\n",
+                    "%d error(s)\n",
                     workload.c_str(), archModelName(cfg.model),
-                    facts.size(), violations);
-        for (const verify::FactStore &f : facts)
-            std::printf("%s", f.str().c_str());
+                    reports.size(), errors);
+        for (const verify::Report &r : reports)
+            std::printf("%s%s", r.factsStr().c_str(), r.str().c_str());
     }
-    return violations;
+    return errors;
 }
 
 double

@@ -77,10 +77,8 @@ struct KernelVerifyResult
 {
     std::string workload;
     std::string config;
-    std::string kernel;
     std::size_t partitions = 0;
-    std::size_t channels = 0;
-    verify::Report report;
+    verify::Report report; ///< report.kernel names the kernel
 };
 
 /**
@@ -96,10 +94,11 @@ int verifyWorkload(const std::string &workload, const RunConfig &config,
 
 /**
  * Run @p workload under @p config with invocation profiling on, then
- * run the plan analyses (src/verify/analysis.hh) over every compiled
- * kernel. With @p json null the fact stores print to stdout as text;
- * otherwise one {workload, config, kernels: [...]} object is appended
- * to the writer. Returns the total count of Violated facts.
+ * run every verification pass against the recorded profiles
+ * (src/verify/analysis.hh) over every compiled kernel. With @p json
+ * null the facts and diagnostics print to stdout as text; otherwise
+ * one {workload, config, kernels: [...]} object is appended to the
+ * writer. Returns the total error count (every Violated fact is one).
  */
 int analyzeWorkload(const std::string &workload, const RunConfig &config,
                     const RunOptions &opts = RunOptions{},

@@ -12,6 +12,7 @@
 #include "src/fuzz/gen.hh"
 #include "src/sim/logging.hh"
 #include "src/verify/analysis.hh"
+#include "src/verify/verify.hh"
 
 namespace distda::fuzz
 {
@@ -209,9 +210,9 @@ initialObjectBytes(const FuzzCase &c)
 
 /**
  * The static-analysis soundness oracle: rebuild each kernel's
- * invocation profile from the case, run the plan analyses
- * (src/verify/analysis.hh), and hold every decided fact against what
- * actually happened.
+ * invocation profile from the case, run the verification passes
+ * against it (src/verify/analysis.hh), and hold every decided fact
+ * against what actually happened.
  *   - A Violated verdict of any kind is a contradiction outright: the
  *     generator proves every access in bounds and every case runs to
  *     completion on at least the host path.
@@ -283,15 +284,14 @@ crossCheckAnalysis(const FuzzCase &c,
         if (profiles[ki].invocations == 0)
             continue; // uninvoked kernels constrain nothing dynamic
         const compiler::Kernel &k = c.kernels[ki];
-        verify::FactStore facts;
+        verify::Report facts;
         try {
             ScopedFailureCapture capture;
             const compiler::OffloadPlan plan =
                 compiler::compileKernel(k, co);
-            verify::AnalysisOptions ao;
-            ao.channelCapacity = co.channelCapacity;
-            ao.profile = &profiles[ki];
-            facts = verify::analyzePlan(plan, ao);
+            verify::Options vo = verify::optionsFor(co);
+            vo.profile = &profiles[ki];
+            facts = verify::verifyPlan(plan, vo);
         } catch (const SimFailure &f) {
             flag(strfmt("kernel '%s': analysis crashed: %s",
                         k.name.c_str(), f.what()));

@@ -385,37 +385,6 @@ InvocationProfile::record(const compiler::Kernel &kernel,
     }
 }
 
-int
-AnalysisOptions::capacityOf(int channel) const
-{
-    if (channel >= 0 &&
-        static_cast<std::size_t>(channel) < channelCapacities.size() &&
-        channelCapacities[static_cast<std::size_t>(channel)] > 0)
-        return channelCapacities[static_cast<std::size_t>(channel)];
-    return channelCapacity;
-}
-
-const std::vector<AnalysisPass> &
-analyses()
-{
-    static const std::vector<AnalysisPass> all = {
-        {"bounds", analyzeBounds},
-        {"channels", analyzeChannels},
-        {"purity", analyzePurity},
-    };
-    return all;
-}
-
-FactStore
-analyzePlan(const compiler::OffloadPlan &plan, const AnalysisOptions &opts)
-{
-    FactStore facts;
-    facts.kernel = plan.kernel.name;
-    for (const AnalysisPass &a : analyses())
-        a.run(plan, opts, facts);
-    return facts;
-}
-
 bool
 FixpointCell::joinFrom(const AbstractValue &v, bool widen)
 {

@@ -2,9 +2,9 @@
  * @file
  * Plan-level abstract interpretation over compiled OffloadPlans: the
  * interval/affine value domain, the invocation profile that closes the
- * analyses over "all invocations" the host actually issued, the
- * fixpoint machinery shared by the analyses, and the analysis registry
- * (bounds, channels, purity) mirroring verify::passes().
+ * fact-producing passes (bounds, channels, purity in verify::passes())
+ * over "all invocations" the host actually issued, and the fixpoint
+ * machinery of the bounds pass.
  *
  * The soundness contract: a Proven fact holds on every execution
  * consistent with the analysis inputs (the plan, and the profile when
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/compiler/plan.hh"
-#include "src/verify/facts.hh"
 
 namespace distda::verify
 {
@@ -150,42 +149,6 @@ struct InvocationProfile
                 const std::vector<std::uint64_t> &object_elems,
                 bool aliased);
 };
-
-/** What to analyze against. */
-struct AnalysisOptions
-{
-    /** Decoupling depth the engine instantiates (elements). */
-    int channelCapacity = 64;
-    /** Per-channel capacity overrides by channel id (empty: uniform). */
-    std::vector<int> channelCapacities;
-    /** Observed invocations; null = static-only analysis. */
-    const InvocationProfile *profile = nullptr;
-
-    int capacityOf(int channel) const;
-};
-
-/** One registered analysis. */
-struct AnalysisPass
-{
-    const char *name;
-    void (*run)(const compiler::OffloadPlan &plan,
-                const AnalysisOptions &opts, FactStore &facts);
-};
-
-/** All analyses in execution order. */
-const std::vector<AnalysisPass> &analyses();
-
-/** Run every analysis over @p plan and collect the facts. */
-FactStore analyzePlan(const compiler::OffloadPlan &plan,
-                      const AnalysisOptions &opts = AnalysisOptions{});
-
-// The registered analyses (definitions live in one file per analysis).
-void analyzeBounds(const compiler::OffloadPlan &plan,
-                   const AnalysisOptions &opts, FactStore &facts);
-void analyzeChannels(const compiler::OffloadPlan &plan,
-                     const AnalysisOptions &opts, FactStore &facts);
-void analyzePurity(const compiler::OffloadPlan &plan,
-                   const AnalysisOptions &opts, FactStore &facts);
 
 /**
  * A join-semilattice cell for the interprocedural fixpoint: channel

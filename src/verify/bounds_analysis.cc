@@ -21,7 +21,9 @@
 #include <limits>
 #include <map>
 
+#include "src/sim/logging.hh"
 #include "src/verify/analysis.hh"
+#include "src/verify/checks.hh"
 
 namespace distda::verify
 {
@@ -46,9 +48,11 @@ struct ProfileView
     Interval trip;                ///< bottom = unknown
     std::vector<Interval> params; ///< missing/bottom = unconstrained
     const InvocationProfile *profile = nullptr;
+    std::size_t numParams; ///< parameters the kernel declares
 
     explicit ProfileView(const compiler::Kernel &kernel,
-                         const AnalysisOptions &opts)
+                         const Options &opts)
+        : numParams(kernel.paramNames.size())
     {
         if (opts.profile && opts.profile->invocations > 0) {
             profile = opts.profile;
@@ -204,9 +208,7 @@ struct PartitionInterp
     run()
     {
         const MicroProgram &prog = part.program;
-        _regs.assign(
-            static_cast<std::size_t>(std::max(prog.numRegs, 0)),
-            AbstractValue{});
+        _regs.assign(regFileSize(prog), AbstractValue{});
         std::vector<AbstractValue> &regs = _regs;
 
         auto setReg = [&](std::uint16_t r, const AbstractValue &v) {
@@ -219,7 +221,10 @@ struct PartitionInterp
                                     : AbstractValue::exact(c.value.i));
         for (const auto &[param, reg] : prog.paramRegs) {
             AbstractValue v = AbstractValue::top();
-            if (param >= 0) {
+            // Unknown parameters stay top (the microcode pass rejects
+            // them); their affine coefficient vector is never sized.
+            if (param >= 0 &&
+                static_cast<std::size_t>(param) < view.numParams) {
                 if (static_cast<std::size_t>(param) < view.params.size() &&
                     !view.params[static_cast<std::size_t>(param)]
                          .isBottom())
@@ -378,11 +383,27 @@ streamFact(const AccessorDef &ad, const compiler::Kernel &kernel,
     return f;
 }
 
+/** Error diagnostic for a Violated fact. */
+void
+reportViolation(const OffloadPlan &plan, const BoundsFact &f,
+                Report &report)
+{
+    std::string range = "unknown range";
+    if (f.rangeKnown)
+        range = strfmt("[%lld, %lld]", static_cast<long long>(f.lo),
+                       static_cast<long long>(f.hi));
+    report.add(Severity::Error, "bounds", partLoc(plan, f.partition),
+               "%s %s (node %d) indexes %s of object %d, which has "
+               "%llu elements: out of bounds on every invocation",
+               f.affine ? "affine" : "indirect",
+               f.store ? "store" : "load", f.node, range.c_str(),
+               f.objId, static_cast<unsigned long long>(f.objectElems));
+}
+
 } // namespace
 
 void
-analyzeBounds(const OffloadPlan &plan, const AnalysisOptions &opts,
-              FactStore &facts)
+checkBounds(const OffloadPlan &plan, const Options &opts, Report &report)
 {
     const ProfileView view(plan.kernel, opts);
 
@@ -426,7 +447,7 @@ analyzeBounds(const OffloadPlan &plan, const AnalysisOptions &opts,
              ++slot) {
             const AccessorDef &ad = part.accessors[slot];
             if (ad.pattern == PatternKind::Affine) {
-                facts.bounds.push_back(
+                report.bounds.push_back(
                     streamFact(ad, plan.kernel, part.id, view));
                 continue;
             }
@@ -455,8 +476,12 @@ analyzeBounds(const OffloadPlan &plan, const AnalysisOptions &opts,
                 f.verdict = Verdict::Violated;
             else
                 f.verdict = Verdict::Unknown;
-            facts.bounds.push_back(f);
+            report.bounds.push_back(f);
         }
+    }
+    for (const BoundsFact &f : report.bounds) {
+        if (f.verdict == Verdict::Violated)
+            reportViolation(plan, f, report);
     }
 }
 

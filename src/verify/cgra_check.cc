@@ -53,27 +53,28 @@ fuAvailable(const cgra::CgraParams &fabric, FuClass c)
 void
 checkCgra(const OffloadPlan &plan, const Options &opts, Report &report)
 {
-    if (!opts.checkCgra)
+    if (!opts.fabric)
         return;
+    const cgra::CgraParams &fabric = *opts.fabric;
     for (const Partition &part : plan.partitions) {
         for (std::size_t pc = 0; pc < part.program.insts.size(); ++pc) {
             const MicroInst &inst = part.program.insts[pc];
             const FuClass c = cgra::fuClassOfInst(inst);
-            if (fuAvailable(opts.fabric, c) <= 0) {
+            if (fuAvailable(fabric, c) <= 0) {
                 report.add(Severity::Error, passName,
                            instLoc(plan, part.id, pc),
                            "needs a %s FU but the %dx%d fabric "
                            "provisions none",
-                           fuClassName(c), opts.fabric.rows,
-                           opts.fabric.cols);
+                           fuClassName(c), fabric.rows,
+                           fabric.cols);
             }
         }
         const cgra::CgraMapping m =
-            cgra::mapProgram(part.program, opts.fabric);
+            cgra::mapProgram(part.program, fabric);
         if (!m.feasible) {
             report.add(Severity::Error, passName, partLoc(plan, part.id),
                        "static mapping onto the %dx%d fabric infeasible",
-                       opts.fabric.rows, opts.fabric.cols);
+                       fabric.rows, fabric.cols);
             continue;
         }
         if (m.ii < m.resMii || m.ii < m.recMii) {
@@ -87,10 +88,10 @@ checkCgra(const OffloadPlan &plan, const Options &opts, Report &report)
                        "mapper placed %d of %zu instructions",
                        m.opsMapped, part.program.insts.size());
         }
-        if (m.tilesUsed > opts.fabric.tiles()) {
+        if (m.tilesUsed > fabric.tiles()) {
             report.add(Severity::Error, passName, partLoc(plan, part.id),
                        "mapping claims %d tiles on a %d-tile fabric",
-                       m.tilesUsed, opts.fabric.tiles());
+                       m.tilesUsed, fabric.tiles());
         }
     }
 }

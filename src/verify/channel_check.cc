@@ -10,6 +10,9 @@
  * first-iteration deadlock no FIFO depth can fix, while a cycle that
  * closes only through a capacity back-edge means the configured
  * decoupling depth is too shallow for this plan's token schedule.
+ * The same graph yields the facts: deadlock freedom under the
+ * configured (per-channel) capacities, and each channel's tokens per
+ * iteration and minimum safe capacity.
  */
 
 #include "src/verify/checks.hh"
@@ -27,30 +30,17 @@ namespace
 constexpr const char *passName = "channels";
 
 void
-checkTokenBalance(const OffloadPlan &plan,
-                  const std::vector<std::vector<ChanOp>> &ops,
+checkTokenBalance(const OffloadPlan &plan, const TokenGraph &graph,
                   Report &report)
 {
-    std::vector<int> produced(plan.channels.size(), 0);
-    std::vector<int> consumed(plan.channels.size(), 0);
-    for (const auto &part_ops : ops) {
-        for (const ChanOp &op : part_ops) {
-            if (op.channel < 0)
-                continue;
-            auto &count = op.isProduce ? produced : consumed;
-            ++count[static_cast<std::size_t>(op.channel)];
-        }
-    }
     for (const ChannelDef &ch : plan.channels) {
-        if (ch.id < 0 || ch.id >= static_cast<int>(produced.size()))
-            continue;
-        const int p = produced[static_cast<std::size_t>(ch.id)];
-        const int c = consumed[static_cast<std::size_t>(ch.id)];
         if (ch.dstPartition < 0) {
             // Host-consumed channel: only the producer side is
             // microcode; the host drains it via cp_consume.
             continue;
         }
+        const int p = graph.tokensPerIter(ch.id);
+        const int c = graph.consumesPerIter(ch.id);
         if (p == 0 && c == 0) {
             report.add(Severity::Warning, passName, kernelLoc(plan),
                        "channel %d (partition %d -> %d) is never "
@@ -66,50 +56,70 @@ checkTokenBalance(const OffloadPlan &plan,
     }
 }
 
-void
-checkLiveness(const OffloadPlan &plan, const Options &opts,
-              Report &report)
-{
-    const TokenGraph graph(plan);
-    int partition = -1;
-    if (graph.structuralDeadlock(&partition)) {
-        report.add(Severity::Error, passName, partLoc(plan, partition),
-                   "channel-dependence cycle: partitions wait "
-                   "on each other before any token is "
-                   "produced (first-iteration deadlock)");
-        return;
-    }
-    if (!graph.balanced())
-        return; // token-balance errors already explain the drift
-    std::vector<int> caps(plan.channels.size(), opts.channelCapacity);
-    int channel = -1;
-    if (graph.deadlocksWith(caps, &channel)) {
-        const int need =
-            channel >= 0 ? graph.minSafeCapacity(channel) : -1;
-        report.add(Severity::Error, passName, kernelLoc(plan),
-                   "channel-dependence cycle under capacity %d "
-                   "(capacity deadlock): channel %d needs capacity "
-                   ">= %d",
-                   opts.channelCapacity, channel, need);
-    }
-}
-
 } // namespace
 
 void
 checkChannels(const OffloadPlan &plan, const Options &opts,
               Report &report)
 {
-    if (!plan.channels.empty() && opts.channelCapacity <= 0) {
+    const TokenGraph graph(plan);
+    for (const ChannelDef &ch : plan.channels) {
+        ChannelFact f;
+        f.channel = ch.id;
+        f.tokensPerIter = graph.tokensPerIter(ch.id);
+        f.configuredCapacity = opts.capacityOf(ch.id);
+        f.minSafeCapacity =
+            graph.balanced() ? graph.minSafeCapacity(ch.id) : -1;
+        report.channels.push_back(f);
+    }
+    std::vector<int> caps(plan.channels.size());
+    int zero_capacity = 0;
+    for (std::size_t id = 0; id < caps.size(); ++id) {
+        caps[id] = opts.capacityOf(static_cast<int>(id));
+        zero_capacity += caps[id] <= 0;
+    }
+
+    if (plan.channels.empty()) {
+        // Single-actor plan: nothing to wait on.
+        report.deadlockFree = Verdict::Proven;
+        return;
+    }
+    if (zero_capacity > 0) {
         report.add(Severity::Error, passName, kernelLoc(plan),
-                   "%zu channels with zero decoupling capacity: every "
+                   "%d channels with zero decoupling capacity: every "
                    "produce blocks forever",
-                   plan.channels.size());
+                   zero_capacity);
+        report.deadlockFree = Verdict::Violated;
         return; // the liveness model degenerates at capacity zero
     }
-    const auto ops = collectChannelOps(plan);
-    checkTokenBalance(plan, ops, report);
-    checkLiveness(plan, opts, report);
+    checkTokenBalance(plan, graph, report);
+
+    int partition = -1;
+    if (graph.structuralDeadlock(&partition)) {
+        report.add(Severity::Error, passName, partLoc(plan, partition),
+                   "channel-dependence cycle: partitions wait "
+                   "on each other before any token is "
+                   "produced (first-iteration deadlock)");
+        report.deadlockFree = Verdict::Violated;
+        return;
+    }
+    if (!graph.balanced()) {
+        // Token-balance errors already explain the drift; liveness
+        // verdicts on an unbalanced graph are meaningless.
+        report.deadlockFree = Verdict::Unknown;
+        return;
+    }
+    int channel = -1;
+    if (!graph.deadlocksWith(caps, &channel)) {
+        report.deadlockFree = Verdict::Proven;
+        return;
+    }
+    report.deadlockFree = Verdict::Violated;
+    const int cap = opts.capacityOf(channel);
+    report.add(Severity::Error, passName, kernelLoc(plan),
+               "channel-dependence cycle under capacity %d "
+               "(capacity deadlock): channel %d needs capacity >= %d",
+               cap, channel, graph.minSafeCapacity(channel));
 }
 
 } // namespace distda::verify

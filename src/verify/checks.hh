@@ -7,6 +7,7 @@
 #ifndef DISTDA_VERIFY_CHECKS_HH
 #define DISTDA_VERIFY_CHECKS_HH
 
+#include <algorithm>
 #include <string>
 
 #include "src/verify/verify.hh"
@@ -25,6 +26,22 @@ void checkCgra(const compiler::OffloadPlan &plan, const Options &opts,
                Report &report);
 void checkSmells(const compiler::OffloadPlan &plan, const Options &opts,
                  Report &report);
+void checkBounds(const compiler::OffloadPlan &plan, const Options &opts,
+                 Report &report);
+void checkPurity(const compiler::OffloadPlan &plan, const Options &opts,
+                 Report &report);
+
+/**
+ * Register-file size the passes model: numRegs clamped to the 16-bit
+ * register space (noReg is reserved), so a corrupted count can neither
+ * go negative nor make a pass allocate unaddressable registers.
+ */
+inline std::size_t
+regFileSize(const compiler::MicroProgram &prog)
+{
+    return static_cast<std::size_t>(
+        std::clamp(prog.numRegs, 0, static_cast<int>(compiler::noReg)));
+}
 
 /** Three-valued type lattice for int/float propagation. */
 enum class VType : std::uint8_t { Unknown, Int, Float };

@@ -96,10 +96,9 @@ struct ProgState
     std::vector<bool> defined;
     std::vector<VType> type;
 
-    explicit ProgState(int num_regs)
-        : defined(static_cast<std::size_t>(std::max(num_regs, 0)), false),
-          type(static_cast<std::size_t>(std::max(num_regs, 0)),
-               VType::Unknown)
+    explicit ProgState(const MicroProgram &prog)
+        : defined(regFileSize(prog), false),
+          type(regFileSize(prog), VType::Unknown)
     {
     }
 
@@ -138,10 +137,13 @@ checkPreloads(const OffloadPlan &plan, const Partition &part,
 
     for (const auto &c : prog.constRegs)
         preload(c.reg, c.isFloat ? VType::Float : VType::Int, "constant");
+    const std::size_t num_params = plan.kernel.paramNames.size();
     for (const auto &[param, reg] : prog.paramRegs) {
-        if (param < 0) {
+        if (param < 0 || static_cast<std::size_t>(param) >= num_params) {
             report.add(Severity::Error, passName, loc,
-                       "negative parameter index %d preloaded", param);
+                       "parameter %d preloaded but the kernel declares "
+                       "%zu parameters",
+                       param, num_params);
         }
         preload(reg, VType::Unknown, "parameter");
     }
@@ -212,7 +214,13 @@ checkProgram(const OffloadPlan &plan, const Partition &part,
              Report &report)
 {
     const MicroProgram &prog = part.program;
-    ProgState st(prog.numRegs);
+    if (prog.numRegs < 0 || prog.numRegs > static_cast<int>(noReg)) {
+        report.add(Severity::Error, passName, partLoc(plan, part.id),
+                   "register file of %d outside the 16-bit register "
+                   "space",
+                   prog.numRegs);
+    }
+    ProgState st(prog);
     checkPreloads(plan, part, st, report);
 
     // Table VI: one instruction is 8 bytes.
@@ -327,6 +335,7 @@ checkProgram(const OffloadPlan &plan, const Partition &part,
               else
                   unused(inst.a, "offset");
               unused(inst.b, "value");
+              unused(inst.c, "third");
               def(inst.dst, !ad ? VType::Unknown
                                 : ad->elemIsFloat ? VType::Float
                                                   : VType::Int);
@@ -348,6 +357,7 @@ checkProgram(const OffloadPlan &plan, const Partition &part,
               }
               if (inst.c != noReg)
                   use_typed(inst.c, "predicate", VType::Int);
+              unused(inst.dst, "destination");
               break;
           }
           case MicroKind::Consume: {
@@ -371,6 +381,7 @@ checkProgram(const OffloadPlan &plan, const Partition &part,
               }
               unused(inst.a, "first");
               unused(inst.b, "second");
+              unused(inst.c, "third");
               def(inst.dst, t);
               break;
           }
@@ -385,10 +396,15 @@ checkProgram(const OffloadPlan &plan, const Partition &part,
               }
               use(inst.a, "value");
               unused(inst.b, "second");
+              unused(inst.c, "third");
+              unused(inst.dst, "destination");
               break;
           }
           case MicroKind::CarryWrite: {
               saw_carry_write = true;
+              unused(inst.b, "second");
+              unused(inst.c, "third");
+              unused(inst.dst, "destination");
               if (inst.slot < 0 ||
                   inst.slot >= static_cast<int>(prog.carries.size())) {
                   report.add(Severity::Error, passName, loc,

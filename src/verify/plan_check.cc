@@ -7,6 +7,7 @@
  * plus Table VI characteristics consistency.
  */
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -109,6 +110,15 @@ checkAccessorPlacement(const OffloadPlan &plan, const Options &opts,
                            "access node",
                            ad.node);
                 continue;
+            }
+            if (std::none_of(kernel.objects.begin(), kernel.objects.end(),
+                             [&ad](const compiler::MemObjectDecl &o) {
+                                 return o.id == ad.objId;
+                             })) {
+                report.add(Severity::Error, passName, loc,
+                           "accessor (node %d) on undeclared memory "
+                           "object %d",
+                           ad.node, ad.objId);
             }
             if (!placed.insert(ad.node).second) {
                 report.add(Severity::Error, passName, loc,
@@ -369,6 +379,15 @@ checkCharacteristics(const OffloadPlan &plan, Report &report)
         report.add(Severity::Error, passName, kernelLoc(plan),
                    "Table VI insts(B) %d != 8 * %d static insts",
                    ch.maxInstBytes, ch.maxInsts);
+    }
+    std::size_t longest = 0;
+    for (const Partition &part : plan.partitions)
+        longest = std::max(longest, part.program.insts.size());
+    if (ch.maxInsts != static_cast<int>(longest)) {
+        report.add(Severity::Error, passName, kernelLoc(plan),
+                   "characteristics claim at most %d insts per "
+                   "partition, the longest program has %zu",
+                   ch.maxInsts, longest);
     }
 }
 

@@ -15,6 +15,7 @@
 #include <algorithm>
 
 #include "src/verify/analysis.hh"
+#include "src/verify/checks.hh"
 
 namespace distda::verify
 {
@@ -25,8 +26,7 @@ using compiler::NodeKind;
 using compiler::OffloadPlan;
 
 void
-analyzePurity(const OffloadPlan &plan, const AnalysisOptions &opts,
-              FactStore &facts)
+checkPurity(const OffloadPlan &plan, const Options &opts, Report &report)
 {
     PurityFact f;
     for (const Node &n : plan.kernel.nodes) {
@@ -60,7 +60,7 @@ analyzePurity(const OffloadPlan &plan, const AnalysisOptions &opts,
     // aliased bindings); an observed aliased binding voids it.
     const bool aliased = opts.profile && opts.profile->aliasedBindings;
     f.memoizable = f.cls != PurityClass::Stateful && !aliased;
-    facts.purity = f;
+    report.purity = f;
 }
 
 } // namespace distda::verify

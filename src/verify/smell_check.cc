@@ -41,9 +41,7 @@ checkPartition(const OffloadPlan &plan, const Partition &part,
     }
 
     // Registers read by some instruction.
-    std::vector<bool> read(static_cast<std::size_t>(
-                               std::max(prog.numRegs, 0)),
-                           false);
+    std::vector<bool> read(regFileSize(prog), false);
     auto mark = [&read](std::uint16_t r) {
         if (r != noReg && r < read.size())
             read[r] = true;
@@ -121,8 +119,7 @@ checkPartition(const OffloadPlan &plan, const Partition &part,
 void
 checkSmells(const OffloadPlan &plan, const Options &opts, Report &report)
 {
-    if (!opts.smells)
-        return;
+    (void)opts;
     for (const Partition &part : plan.partitions)
         checkPartition(plan, part, report);
 }

@@ -1,8 +1,7 @@
 /**
  * @file
- * Marked-graph model of a plan's channel-op structure, shared by the
- * channels verify pass (src/verify/channel_check.cc) and the channel
- * liveness analysis (src/verify/channel_analysis.cc).
+ * Marked-graph model of a plan's channel-op structure, the liveness
+ * engine of the channels pass (src/verify/channel_check.cc).
  *
  * Nodes are the Produce/Consume micro-ops of every partition; edges
  * carry initial token counts: program order within a partition (zero
@@ -28,19 +27,6 @@
 namespace distda::verify
 {
 
-/** One channel endpoint operation in some partition's program. */
-struct ChanOp
-{
-    int partition = -1;
-    std::size_t pc = 0;
-    int channel = -1; ///< -1 for malformed slots (microcode pass reports)
-    bool isProduce = false;
-};
-
-/** Channel-op list per partition, in program order. */
-std::vector<std::vector<ChanOp>>
-collectChannelOps(const compiler::OffloadPlan &plan);
-
 /** Sentinel capacity meaning "unbounded FIFO: no back-pressure". */
 constexpr int unboundedCapacity = INT_MAX;
 
@@ -48,9 +34,6 @@ class TokenGraph
 {
   public:
     explicit TokenGraph(const compiler::OffloadPlan &plan);
-
-    /** True when any partition has channel ops at all. */
-    bool hasOps() const { return _numOps > 0; }
 
     /**
      * True when every inter-partition channel's produce and consume
@@ -61,6 +44,8 @@ class TokenGraph
 
     /** Produce ops per iteration on @p channel (0 when out of range). */
     int tokensPerIter(int channel) const;
+    /** Consume ops per iteration on @p channel (0 when out of range). */
+    int consumesPerIter(int channel) const;
 
     /**
      * Zero-token cycle using only program-order and data edges: the
@@ -85,8 +70,6 @@ class TokenGraph
      * K never needs to exceed the channel's tokens per iteration.
      */
     int minSafeCapacity(int channel) const;
-
-    std::size_t numChannels() const { return _producers.size(); }
 
   private:
     struct Edge

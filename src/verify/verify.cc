@@ -1,8 +1,8 @@
 /**
  * @file
  * The verification pass manager: runs every registered pass over a
- * compiled plan, and the enforcement shim used at the compiler and
- * driver integration points.
+ * compiled plan, and the enforcement shim used at the compiler, plan
+ * artifact and driver integration points.
  */
 
 #include "src/verify/verify.hh"
@@ -26,24 +26,28 @@ optionsFor(const compiler::CompileOptions &opts)
     v.channelCapacity = opts.channelCapacity;
     v.bufferBytes = opts.bufferBytes;
     // Substrate choice is an engine-side decision; the compile-time
-    // run checks the substrate-independent artifact only.
-    v.checkCgra = false;
+    // run checks the substrate-independent artifact only (no fabric).
     return v;
 }
 
-Options
-optionsFor(const compiler::OffloadPlan &plan)
+int
+Options::capacityOf(int channel) const
 {
-    return optionsFor(plan.options);
+    if (channel >= 0 &&
+        static_cast<std::size_t>(channel) < channelCapacities.size() &&
+        channelCapacities[static_cast<std::size_t>(channel)] > 0)
+        return channelCapacities[static_cast<std::size_t>(channel)];
+    return channelCapacity;
 }
 
 const std::vector<Pass> &
 passes()
 {
     static const std::vector<Pass> all = {
-        {"plan", checkPlan},           {"microcode", checkMicrocode},
-        {"channels", checkChannels},   {"cgra", checkCgra},
-        {"smells", checkSmells},
+        {"plan", checkPlan},         {"microcode", checkMicrocode},
+        {"channels", checkChannels}, {"cgra", checkCgra},
+        {"smells", checkSmells},     {"bounds", checkBounds},
+        {"purity", checkPurity},
     };
     return all;
 }
@@ -52,6 +56,7 @@ Report
 verifyPlan(const OffloadPlan &plan, const Options &opts)
 {
     Report report;
+    report.kernel = plan.kernel.name;
     for (const Pass &pass : passes())
         pass.run(plan, opts, report);
     return report;

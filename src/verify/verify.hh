@@ -9,7 +9,7 @@
  * paper rule (Table VI encoding, the SSIV-B decoupling contract, the
  * SSV-A partitioning constraints).
  *
- * Passes:
+ * Passes (one registry, one Report per run):
  *   plan       partitioner invariants: node coverage, <=1 object per
  *              partition, accessor placement, cut edges materialized
  *              as channels, carry cycles intra-partition, Table VI
@@ -19,17 +19,23 @@
  *              table, ALU operand arity, int/float type propagation
  *              through CarrySlots, byteSize() == 8 * insts
  *   channels   the SSIV-B decoupling contract: produce/consume counts
- *              balanced per iteration, no zero-capacity channels, no
- *              first-iteration channel-dependence deadlock
+ *              balanced per iteration, no zero-capacity channels, and
+ *              marked-graph liveness (first-iteration and capacity
+ *              deadlock); facts: deadlock freedom, per-channel tokens
+ *              per iteration and minimum safe capacity
  *   cgra       mapping legality when the plan will run on a fabric:
  *              FU-class availability, II >= max(ResMII, RecMII)
  *   smells     warnings: dead registers, dead loads, unused accessors,
  *              empty partitions
+ *   bounds     facts: per-access Proven/Unknown/Violated in-bounds
+ *              verdicts from abstract interpretation (analysis.hh)
+ *   purity     facts: pure/idempotent/stateful and memoizability
  */
 
 #ifndef DISTDA_VERIFY_VERIFY_HH
 #define DISTDA_VERIFY_VERIFY_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,28 +46,31 @@
 namespace distda::verify
 {
 
+struct InvocationProfile;
+
 /** What to check and against which engine parameters. */
 struct Options
 {
     /** Decoupling depth the engine will instantiate (elements). */
     int channelCapacity = 64;
+    /** Per-channel capacity overrides by channel id (empty: uniform). */
+    std::vector<int> channelCapacities;
     /** Access-unit buffer capacity (combining-distance bound). */
     std::uint32_t bufferBytes = 4096;
-    /** Also check CGRA mapping legality against @ref fabric. */
-    bool checkCgra = false;
-    cgra::CgraParams fabric;
-    /** Run the warning-only smell passes. */
-    bool smells = true;
+    /** Check CGRA mapping legality against this fabric when set. */
+    std::optional<cgra::CgraParams> fabric;
+    /**
+     * Observed invocations the analysis passes close over; null means
+     * static-only analysis (see src/verify/analysis.hh).
+     */
+    const InvocationProfile *profile = nullptr;
+
+    /** Capacity of channel @p channel: its override, else uniform. */
+    int capacityOf(int channel) const;
 };
 
 /** Verification parameters implied by the compile options. */
 Options optionsFor(const compiler::CompileOptions &opts);
-
-/**
- * Verification parameters for a standalone plan (cached or
- * deserialized): derived from the options the plan was compiled with.
- */
-Options optionsFor(const compiler::OffloadPlan &plan);
 
 /** One registered verification pass. */
 struct Pass
@@ -74,7 +83,7 @@ struct Pass
 /** All passes in execution order. */
 const std::vector<Pass> &passes();
 
-/** Run every pass over @p plan and collect the findings. */
+/** Run every pass over @p plan and collect the findings and facts. */
 Report verifyPlan(const compiler::OffloadPlan &plan,
                   const Options &opts = Options{});
 

@@ -21,7 +21,6 @@
 
 using namespace distda;
 using namespace distda::compiler;
-using verify::AnalysisOptions;
 using verify::Interval;
 using verify::InvocationProfile;
 using verify::PurityClass;
@@ -74,6 +73,22 @@ makeReduceKernel()
     kb.setCarry(sum, kb.fadd(sum, x));
     kb.markResult(sum);
     return kb.build();
+}
+
+/**
+ * Run the registered pass @p name alone: hand-built plans fail the
+ * structural passes by design.
+ */
+verify::Report
+runPass(const char *name, const OffloadPlan &plan,
+        const verify::Options &vo)
+{
+    verify::Report report;
+    for (const verify::Pass &pass : verify::passes()) {
+        if (std::string(pass.name) == name)
+            pass.run(plan, vo, report);
+    }
+    return report;
 }
 
 /**
@@ -205,10 +220,10 @@ TEST(AnalysisDomain, ProfileJoinsInvocations)
 
 TEST(AnalysisBounds, ProvesStaticAffineAccesses)
 {
-    const auto facts = verify::analyzePlan(compileKernel(makeStreamKernel()));
+    const auto facts = verify::verifyPlan(compileKernel(makeStreamKernel()));
     ASSERT_EQ(facts.bounds.size(), 3u);
     EXPECT_EQ(facts.boundsCount(Verdict::Proven), 3);
-    EXPECT_EQ(facts.violations(), 0);
+    EXPECT_EQ(facts.errorCount(), 0);
     for (const auto &f : facts.bounds) {
         EXPECT_TRUE(f.affine);
         EXPECT_TRUE(f.rangeKnown);
@@ -223,10 +238,10 @@ TEST(AnalysisBounds, ParamTripWithoutProfileIsUnknown)
     // No profile and no static extent: the induction variable is
     // unbounded above, so nothing is provable — and nothing Violated.
     const auto facts =
-        verify::analyzePlan(compileKernel(makeParamStreamKernel()));
+        verify::verifyPlan(compileKernel(makeParamStreamKernel()));
     ASSERT_EQ(facts.bounds.size(), 3u);
     EXPECT_EQ(facts.boundsCount(Verdict::Unknown), 3);
-    EXPECT_EQ(facts.violations(), 0);
+    EXPECT_EQ(facts.errorCount(), 0);
 }
 
 TEST(AnalysisBounds, ProfileMakesParamTripProvable)
@@ -234,9 +249,9 @@ TEST(AnalysisBounds, ProfileMakesParamTripProvable)
     const Kernel k = makeParamStreamKernel();
     InvocationProfile p;
     p.record(k, {512}, {1024, 1024}, false);
-    AnalysisOptions ao;
-    ao.profile = &p;
-    const auto facts = verify::analyzePlan(compileKernel(k), ao);
+    verify::Options vo;
+    vo.profile = &p;
+    const auto facts = verify::verifyPlan(compileKernel(k), vo);
     EXPECT_EQ(facts.boundsCount(Verdict::Proven), 3);
 }
 
@@ -248,11 +263,13 @@ TEST(AnalysisBounds, ProfileProvesViolation)
     const Kernel k = makeParamStreamKernel();
     InvocationProfile p;
     p.record(k, {512}, {16, 16}, false);
-    AnalysisOptions ao;
-    ao.profile = &p;
-    const auto facts = verify::analyzePlan(compileKernel(k), ao);
+    verify::Options vo;
+    vo.profile = &p;
+    const auto facts = verify::verifyPlan(compileKernel(k), vo);
     EXPECT_EQ(facts.boundsCount(Verdict::Violated), 3);
-    EXPECT_EQ(facts.violations(), 3);
+    // Each Violated fact is one error from the bounds pass.
+    EXPECT_EQ(facts.errorCount(), 3);
+    EXPECT_TRUE(facts.hasErrorFrom("bounds")) << facts.str();
 }
 
 TEST(AnalysisBounds, ClampedIndirectIsProven)
@@ -267,7 +284,7 @@ TEST(AnalysisBounds, ClampedIndirectIsProven)
     auto idx = kb.load(ix, kb.affine(0, 1));
     auto off = kb.imax(kb.imin(idx, kb.constInt(15)), kb.constInt(0));
     kb.store(o, kb.affine(0, 1), kb.loadIdx(d, off));
-    const auto facts = verify::analyzePlan(compileKernel(kb.build()));
+    const auto facts = verify::verifyPlan(compileKernel(kb.build()));
 
     bool found = false;
     for (const auto &f : facts.bounds) {
@@ -293,7 +310,7 @@ TEST(AnalysisBounds, UnclampedIndirectIsUnknown)
     kb.loopStatic(256);
     auto idx = kb.load(ix, kb.affine(0, 1));
     kb.store(o, kb.affine(0, 1), kb.loadIdx(d, idx));
-    const auto facts = verify::analyzePlan(compileKernel(kb.build()));
+    const auto facts = verify::verifyPlan(compileKernel(kb.build()));
 
     bool found = false;
     for (const auto &f : facts.bounds) {
@@ -303,7 +320,7 @@ TEST(AnalysisBounds, UnclampedIndirectIsUnknown)
         EXPECT_EQ(f.verdict, Verdict::Unknown);
     }
     EXPECT_TRUE(found);
-    EXPECT_EQ(facts.violations(), 0);
+    EXPECT_EQ(facts.errorCount(), 0);
 }
 
 TEST(AnalysisBounds, CarryFixpointConverges)
@@ -319,7 +336,7 @@ TEST(AnalysisBounds, CarryFixpointConverges)
     auto v = kb.loadIdx(d, off);
     kb.setCarry(acc, v);
     kb.markResult(acc);
-    const auto facts = verify::analyzePlan(compileKernel(kb.build()));
+    const auto facts = verify::verifyPlan(compileKernel(kb.build()));
 
     bool found = false;
     for (const auto &f : facts.bounds) {
@@ -338,10 +355,10 @@ TEST(AnalysisChannels, PipelinedPlanLiveAtCapacityOne)
     // One token per iteration per channel: live at any depth >= 1.
     const OffloadPlan plan = compileKernel(makeStreamKernel());
     ASSERT_EQ(plan.channels.size(), 1u);
-    AnalysisOptions ao;
-    ao.channelCapacity = 1;
-    verify::FactStore facts;
-    verify::analyzeChannels(plan, ao, facts);
+    verify::Options vo;
+    vo.channelCapacity = 1;
+    const auto facts = runPass("channels", plan, vo);
+    EXPECT_TRUE(facts.ok()) << facts.str();
     EXPECT_EQ(facts.deadlockFree, Verdict::Proven);
     ASSERT_EQ(facts.channels.size(), 1u);
     EXPECT_EQ(facts.channels[0].tokensPerIter, 1);
@@ -359,17 +376,16 @@ TEST(AnalysisChannels, BurstPlanNeedsCapacityTwo)
     EXPECT_EQ(graph.minSafeCapacity(0), 2);
     EXPECT_EQ(graph.minSafeCapacity(1), 1);
 
-    AnalysisOptions ao;
-    ao.channelCapacity = 1;
-    verify::FactStore shallow;
-    verify::analyzeChannels(plan, ao, shallow);
+    verify::Options vo;
+    vo.channelCapacity = 1;
+    const auto shallow = runPass("channels", plan, vo);
     EXPECT_EQ(shallow.deadlockFree, Verdict::Violated);
-    EXPECT_EQ(shallow.violations(), 1);
+    EXPECT_EQ(shallow.errorCount(), 1);
 
-    ao.channelCapacity = 2;
-    verify::FactStore deep;
-    verify::analyzeChannels(plan, ao, deep);
+    vo.channelCapacity = 2;
+    const auto deep = runPass("channels", plan, vo);
     EXPECT_EQ(deep.deadlockFree, Verdict::Proven);
+    EXPECT_TRUE(deep.ok()) << deep.str();
     ASSERT_EQ(deep.channels.size(), 2u);
     EXPECT_EQ(deep.channels[0].minSafeCapacity, 2);
     EXPECT_EQ(deep.channels[1].minSafeCapacity, 1);
@@ -379,11 +395,10 @@ TEST(AnalysisChannels, PerChannelCapacityOverrides)
 {
     // Channel 0 alone needs depth 2; an override there suffices even
     // with the uniform default at 1.
-    AnalysisOptions ao;
-    ao.channelCapacity = 1;
-    ao.channelCapacities = {2};
-    verify::FactStore facts;
-    verify::analyzeChannels(burstPlan(), ao, facts);
+    verify::Options vo;
+    vo.channelCapacity = 1;
+    vo.channelCapacities = {2};
+    const auto facts = runPass("channels", burstPlan(), vo);
     EXPECT_EQ(facts.deadlockFree, Verdict::Proven);
     EXPECT_EQ(facts.channels[0].configuredCapacity, 2);
     EXPECT_EQ(facts.channels[1].configuredCapacity, 1);
@@ -391,15 +406,12 @@ TEST(AnalysisChannels, PerChannelCapacityOverrides)
 
 TEST(AnalysisChannels, VerifyPassReportsCapacityDeadlock)
 {
-    // The channels verify pass carries the same model: a cycle closed
-    // by a capacity back-edge names the channel and the depth it needs.
+    // One run of the channels pass yields both the Violated liveness
+    // fact and the error naming the channel and the depth it needs.
     verify::Options vo;
     vo.channelCapacity = 1;
-    verify::Report report;
-    for (const verify::Pass &pass : verify::passes()) {
-        if (std::string(pass.name) == "channels")
-            pass.run(burstPlan(), vo, report);
-    }
+    const auto report = runPass("channels", burstPlan(), vo);
+    EXPECT_EQ(report.deadlockFree, Verdict::Violated);
     EXPECT_TRUE(report.hasErrorFrom("channels"));
     EXPECT_TRUE(report.mentions("capacity deadlock")) << report.str();
     EXPECT_TRUE(report.mentions("capacity >= 2")) << report.str();
@@ -409,7 +421,7 @@ TEST(AnalysisChannels, VerifyPassReportsCapacityDeadlock)
 
 TEST(AnalysisPurity, ReductionIsPureAndMemoizable)
 {
-    const auto facts = verify::analyzePlan(compileKernel(makeReduceKernel()));
+    const auto facts = verify::verifyPlan(compileKernel(makeReduceKernel()));
     EXPECT_EQ(facts.purity.cls, PurityClass::Pure);
     EXPECT_TRUE(facts.purity.memoizable);
     EXPECT_TRUE(facts.purity.writtenObjects.empty());
@@ -418,7 +430,7 @@ TEST(AnalysisPurity, ReductionIsPureAndMemoizable)
 
 TEST(AnalysisPurity, StreamIsIdempotent)
 {
-    const auto facts = verify::analyzePlan(compileKernel(makeStreamKernel()));
+    const auto facts = verify::verifyPlan(compileKernel(makeStreamKernel()));
     EXPECT_EQ(facts.purity.cls, PurityClass::Idempotent);
     EXPECT_TRUE(facts.purity.memoizable);
 }
@@ -432,7 +444,7 @@ TEST(AnalysisPurity, ReadWriteObjectIsStateful)
     auto x = kb.load(a, kb.affine(0, 1));
     auto y = kb.load(a, kb.affine(1, 1));
     kb.store(a, kb.affine(1, 1), kb.fadd(x, y));
-    const auto facts = verify::analyzePlan(compileKernel(kb.build()));
+    const auto facts = verify::verifyPlan(compileKernel(kb.build()));
     EXPECT_EQ(facts.purity.cls, PurityClass::Stateful);
     EXPECT_FALSE(facts.purity.memoizable);
 }
@@ -444,37 +456,35 @@ TEST(AnalysisPurity, AliasedProfileBlocksMemoization)
     const Kernel k = makeStreamKernel();
     InvocationProfile p;
     p.record(k, {}, {1024, 1024}, true);
-    AnalysisOptions ao;
-    ao.profile = &p;
-    const auto facts = verify::analyzePlan(compileKernel(k), ao);
+    verify::Options vo;
+    vo.profile = &p;
+    const auto facts = verify::verifyPlan(compileKernel(k), vo);
     EXPECT_EQ(facts.purity.cls, PurityClass::Idempotent);
     EXPECT_FALSE(facts.purity.memoizable);
 }
 
 // --- Framework plumbing. ---
 
-TEST(AnalysisFramework, RegistersAllAnalyses)
+TEST(AnalysisFramework, ReportSerializesAndSummarizes)
 {
-    std::vector<std::string> names;
-    for (const auto &a : verify::analyses())
-        names.push_back(a.name);
-    EXPECT_EQ(names, (std::vector<std::string>{"bounds", "channels",
-                                               "purity"}));
-}
-
-TEST(AnalysisFramework, FactStoreSerializesAndSummarizes)
-{
-    const auto facts = verify::analyzePlan(compileKernel(makeStreamKernel()));
+    const auto facts = verify::verifyPlan(compileKernel(makeStreamKernel()));
     sim::JsonWriter w;
-    facts.json(w);
+    w.beginObject();
+    facts.jsonFields(w);
+    w.endObject();
     const std::string json = w.str();
+    EXPECT_NE(json.find("\"kernel\":\"stream\""), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"errors\":0"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"diagnostics\":[]"), std::string::npos)
+        << json;
     EXPECT_NE(json.find("\"bounds\""), std::string::npos);
     EXPECT_NE(json.find("\"deadlock_free\":\"proven\""),
               std::string::npos)
         << json;
     EXPECT_NE(json.find("\"memoizable\":true"), std::string::npos);
 
-    const std::string text = facts.str();
+    const std::string text = facts.factsStr();
     EXPECT_NE(text.find("purity:"), std::string::npos) << text;
     EXPECT_NE(text.find("bounds:"), std::string::npos) << text;
 }

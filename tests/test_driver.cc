@@ -1,15 +1,22 @@
 /**
  * @file
  * Driver-layer tests: the architecture-model-to-configuration mapping
- * of §VI-A, metrics arithmetic, ablation-knob plumbing and the system
- * facade (slab-backed allocation, affinity striping).
+ * of §VI-A, metrics arithmetic, ablation-knob plumbing, the system
+ * facade (slab-backed allocation, affinity striping) and the static
+ * verification entry points (--verify-only, --analyze, the run
+ * report's analysis section).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+
 #include "death_helpers.hh"
 #include "src/driver/runner.hh"
 #include "src/driver/system.hh"
+#include "src/sim/json.hh"
 
 using namespace distda;
 using driver::ArchModel;
@@ -216,4 +223,61 @@ TEST(Config, ParseBreakdownModeRejectsGarbage)
     EXPECT_PANIC(
         (void)driver::parseBreakdownMode("Text", "--breakdown"),
         "not a breakdown mode");
+}
+
+TEST(Runner, VerifyWorkloadIsCleanUnderTheFabric)
+{
+    RunConfig cfg;
+    cfg.model = ArchModel::DistDA_F;
+    const verify::Options vo = cfg.verifyOptions();
+    ASSERT_TRUE(vo.fabric.has_value()); // the cgra pass runs
+    EXPECT_EQ(vo.fabric->tiles(), cfg.engineConfig().fabric.tiles());
+
+    driver::RunOptions opts;
+    opts.scale = 0.25;
+    std::vector<driver::KernelVerifyResult> results;
+    EXPECT_EQ(driver::verifyWorkload("fdt", cfg, opts, &results), 0);
+    ASSERT_FALSE(results.empty());
+    for (const driver::KernelVerifyResult &r : results) {
+        EXPECT_EQ(r.config, "Dist-DA-F");
+        EXPECT_TRUE(r.report.empty()) << r.report.str();
+    }
+}
+
+TEST(Runner, AnalyzeWorkloadProvesLiveness)
+{
+    RunConfig cfg;
+    cfg.model = ArchModel::DistDA_IO;
+    driver::RunOptions opts;
+    opts.scale = 0.25;
+    sim::JsonWriter w;
+    w.beginArray();
+    EXPECT_EQ(driver::analyzeWorkload("nw", cfg, opts, &w), 0);
+    w.endArray();
+    const std::string json = w.str();
+    EXPECT_NE(json.find("\"deadlock_free\":\"proven\""), std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("\"deadlock_free\":\"unknown\""), std::string::npos);
+    EXPECT_EQ(json.find("\"deadlock_free\":\"violated\""),
+              std::string::npos);
+}
+
+TEST(Runner, StatsJsonWithProbeCarriesAnalysis)
+{
+    RunConfig cfg;
+    cfg.model = ArchModel::DistDA_IO;
+    driver::RunOptions opts;
+    opts.scale = 0.25;
+    opts.obs.statsJsonPath = ::testing::TempDir() + "/nw.stats.json";
+    const driver::Metrics m = driver::runWorkload("nw", cfg, opts);
+    EXPECT_TRUE(m.validated);
+
+    std::ifstream in(opts.obs.statsJsonPath);
+    const std::string report((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    std::remove(opts.obs.statsJsonPath.c_str());
+    EXPECT_NE(report.find("\"analysis\":["), std::string::npos);
+    EXPECT_NE(report.find("\"diagnostics\":[]"), std::string::npos);
+    EXPECT_NE(report.find("\"deadlock_free\":\"proven\""),
+              std::string::npos);
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/compiler/plan_cache.hh"
@@ -95,6 +96,29 @@ comparableMetricFields()
     return fields;
 }
 
+/** A register index just past @p prog's register file. */
+std::uint16_t
+pastRegs(const compiler::MicroProgram &prog)
+{
+    return static_cast<std::uint16_t>(prog.numRegs + 5);
+}
+
+/** First memory (@p memory) or non-memory instruction of @p prog. */
+compiler::MicroInst &
+firstInst(compiler::MicroProgram &prog, bool memory)
+{
+    using compiler::MicroKind;
+    for (compiler::MicroInst &inst : prog.insts) {
+        const bool mem = inst.kind == MicroKind::LoadStream ||
+                         inst.kind == MicroKind::StoreStream ||
+                         inst.kind == MicroKind::LoadIdx ||
+                         inst.kind == MicroKind::StoreIdx;
+        if (mem == memory)
+            return inst;
+    }
+    return prog.insts.front();
+}
+
 } // namespace
 
 TEST(PlanIo, RoundTripIsByteIdenticalAcrossWorkloadsAndModels)
@@ -174,35 +198,111 @@ TEST(PlanIo, ParseRejectsTruncatedAndMangledArtifacts)
 
 TEST(PlanIo, ValidatorFlagsCorruptedFields)
 {
-    const OffloadPlan plan = samplePlan();
-    const std::string text = compiler::serializePlan(plan);
-
-    auto corrupt = [&](const std::string &from, const std::string &to) {
-        std::string t = text;
-        const std::size_t pos = t.find(from);
-        EXPECT_NE(pos, std::string::npos) << from;
-        t.replace(pos, from.size(), to);
-        return compiler::validatePlanArtifact(compiler::parsePlan(t));
+    // One corruption per defect class, applied to every distributed
+    // plan with a channel: each is written into an artifact, parsed
+    // back, and must be rejected.
+    struct Corruption
+    {
+        const char *what;
+        void (*apply)(OffloadPlan &plan);
     };
-
-    // Tampered fingerprint: recompute must disagree.
-    const std::string fp_line = "fingerprint " + plan.fingerprint;
-    const std::string flipped =
-        "fingerprint " +
-        std::string(plan.fingerprint[0] == '0' ? "1" : "0") +
-        plan.fingerprint.substr(1);
-    EXPECT_NE(corrupt(fp_line, flipped), "");
-
-    // Characteristics out of sync with the partition list.
-    const std::string chars = "chars " + std::to_string(static_cast<
-        long long>(plan.characteristics.numPartitions));
-    const std::string wrong = "chars " + std::to_string(static_cast<
-        long long>(plan.characteristics.numPartitions + 1));
-    EXPECT_NE(corrupt(chars, wrong), "");
-
-    // The untouched artifact stays clean.
-    EXPECT_EQ(compiler::validatePlanArtifact(compiler::parsePlan(text)),
-              "");
+    const std::vector<Corruption> table = {
+        {"partition id", [](OffloadPlan &p) { p.partitions[1].id = 7; }},
+        {"unknown node",
+         [](OffloadPlan &p) {
+             p.partitions[0].nodes.push_back(
+                 static_cast<int>(p.kernel.nodes.size()) + 10);
+         }},
+        {"duplicate node",
+         [](OffloadPlan &p) {
+             p.partitions[1].nodes.push_back(p.partitions[0].nodes[0]);
+         }},
+        {"in-channel id",
+         [](OffloadPlan &p) { p.partitions[1].inChannels.push_back(99); }},
+        {"out-channel id",
+         [](OffloadPlan &p) { p.partitions[0].outChannels.push_back(99); }},
+        {"accessor node",
+         [](OffloadPlan &p) { p.partitions[0].accessors[0].node = 9999; }},
+        {"accessor object",
+         [](OffloadPlan &p) { p.partitions[0].accessors[0].objId = 99; }},
+        {"ivReg",
+         [](OffloadPlan &p) {
+             compiler::MicroProgram &prog = p.partitions[0].program;
+             prog.ivReg = pastRegs(prog);
+         }},
+        {"inst register",
+         [](OffloadPlan &p) {
+             compiler::MicroProgram &prog = p.partitions[0].program;
+             firstInst(prog, false).dst = pastRegs(prog);
+         }},
+        {"inst slot",
+         [](OffloadPlan &p) {
+             firstInst(p.partitions[0].program, true).slot = 99;
+         }},
+        {"param preload",
+         [](OffloadPlan &p) {
+             p.partitions[0].program.paramRegs.emplace_back(
+                 static_cast<int>(p.kernel.paramNames.size()) + 3,
+                 static_cast<std::uint16_t>(0));
+         }},
+        {"const preload",
+         [](OffloadPlan &p) {
+             compiler::MicroProgram &prog = p.partitions[0].program;
+             compiler::MicroProgram::ConstReg cr;
+             cr.reg = pastRegs(prog);
+             prog.constRegs.push_back(cr);
+         }},
+        {"carry preload",
+         [](OffloadPlan &p) {
+             compiler::MicroProgram &prog = p.partitions[0].program;
+             compiler::CarrySlot cs;
+             cs.reg = pastRegs(prog);
+             prog.carries.push_back(cs);
+         }},
+        {"channel source",
+         [](OffloadPlan &p) { p.channels[0].srcPartition = 99; }},
+        {"channel destination",
+         [](OffloadPlan &p) { p.channels[0].dstPartition = 99; }},
+        {"channel srcNode",
+         [](OffloadPlan &p) { p.channels[0].srcNode = 99999; }},
+        {"channel bits", [](OffloadPlan &p) { p.channels[0].bits = 0; }},
+        {"characteristics partitions",
+         [](OffloadPlan &p) { p.characteristics.numPartitions += 1; }},
+        {"characteristics insts(B)",
+         [](OffloadPlan &p) { p.characteristics.maxInstBytes += 8; }},
+        {"characteristics max insts",
+         [](OffloadPlan &p) {
+             p.characteristics.maxInsts += 1;
+             p.characteristics.maxInstBytes =
+                 p.characteristics.maxInsts * 8;
+         }},
+        {"fingerprint",
+         [](OffloadPlan &p) {
+             p.fingerprint[0] = p.fingerprint[0] == '0' ? '1' : '0';
+         }},
+    };
+    int checked = 0;
+    for (const OffloadPlan &plan : compileAllKernels(ArchModel::DistDA_IO)) {
+        if (plan.partitions.size() < 2 || plan.channels.empty() ||
+            plan.partitions[0].accessors.empty() ||
+            plan.partitions[0].program.insts.empty())
+            continue;
+        ++checked;
+        for (const Corruption &c : table) {
+            OffloadPlan bad = plan;
+            c.apply(bad);
+            const OffloadPlan back =
+                compiler::parsePlan(compiler::serializePlan(bad));
+            EXPECT_NE(compiler::validatePlanArtifact(back), "")
+                << plan.kernel.name << ": " << c.what;
+        }
+        // The untouched artifact stays clean.
+        EXPECT_EQ(compiler::validatePlanArtifact(compiler::parsePlan(
+                      compiler::serializePlan(plan))),
+                  "")
+            << plan.kernel.name;
+    }
+    EXPECT_GE(checked, 4);
 }
 
 TEST(PlanIo, SaveAndLoadRoundTripThroughAFile)
@@ -211,7 +311,17 @@ TEST(PlanIo, SaveAndLoadRoundTripThroughAFile)
     const std::string path =
         ::testing::TempDir() + "/" +
         compiler::planArtifactFile(plan.kernel.name, plan.fingerprint);
-    compiler::savePlan(plan, path);
+    // Concurrent writers of one artifact (sweep jobs sharing a
+    // --plan-dir) must all succeed and leave a whole file behind.
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 4; ++t) {
+        writers.emplace_back([&plan, &path] {
+            for (int i = 0; i < 25; ++i)
+                compiler::savePlan(plan, path);
+        });
+    }
+    for (std::thread &w : writers)
+        w.join();
     const OffloadPlan back = compiler::loadPlan(path);
     EXPECT_EQ(compiler::serializePlan(back),
               compiler::serializePlan(plan));

@@ -93,7 +93,7 @@ TEST(Verify, CompilerOutputIsCleanMono)
 TEST(Verify, CompilerOutputIsCleanUnderCgra)
 {
     verify::Options vo;
-    vo.checkCgra = true;
+    vo.fabric = cgra::CgraParams{};
     const auto report = verify::verifyPlan(distStreamPlan(), vo);
     EXPECT_TRUE(report.ok()) << report.str();
 }
@@ -105,7 +105,7 @@ TEST(Verify, PassManagerRegistersAllPasses)
         names.push_back(pass.name);
     EXPECT_EQ(names, (std::vector<std::string>{
                          "plan", "microcode", "channels", "cgra",
-                         "smells"}));
+                         "smells", "bounds", "purity"}));
 }
 
 TEST(Verify, ModeNames)
@@ -176,6 +176,30 @@ TEST(VerifyPlan, DetectsCharacteristicsDrift)
     EXPECT_TRUE(report.mentions("insts(B)")) << report.str();
 }
 
+TEST(VerifyPlan, DetectsMaxInstsDrift)
+{
+    // Self-consistent insts(B) == 8 * maxInsts, but maxInsts no longer
+    // matches the longest program.
+    OffloadPlan plan = distStreamPlan();
+    plan.characteristics.maxInsts += 1;
+    plan.characteristics.maxInstBytes =
+        plan.characteristics.maxInsts *
+        static_cast<int>(microInstBytes);
+    const auto report = verify::verifyPlan(plan);
+    EXPECT_TRUE(report.hasErrorFrom("plan"));
+    EXPECT_TRUE(report.mentions("longest program")) << report.str();
+}
+
+TEST(VerifyPlan, DetectsAccessorOnUndeclaredObject)
+{
+    OffloadPlan plan = distStreamPlan();
+    plan.partitions[0].accessors[0].objId = 99;
+    const auto report = verify::verifyPlan(plan);
+    EXPECT_TRUE(report.hasErrorFrom("plan"));
+    EXPECT_TRUE(report.mentions("undeclared memory object 99"))
+        << report.str();
+}
+
 // --- Microcode verifier negatives. ---
 
 TEST(VerifyMicrocode, DetectsRegisterOutOfRange)
@@ -187,6 +211,17 @@ TEST(VerifyMicrocode, DetectsRegisterOutOfRange)
     EXPECT_TRUE(report.hasErrorFrom("microcode"));
     EXPECT_TRUE(report.mentions("outside register file"))
         << report.str();
+}
+
+TEST(VerifyMicrocode, DetectsUnknownParamPreload)
+{
+    // The stream kernel declares no parameters at all.
+    OffloadPlan plan = distStreamPlan();
+    MicroProgram &prog = plan.partitions[0].program;
+    prog.paramRegs.emplace_back(3, static_cast<std::uint16_t>(0));
+    const auto report = verify::verifyPlan(plan);
+    EXPECT_TRUE(report.hasErrorFrom("microcode"));
+    EXPECT_TRUE(report.mentions("parameter 3 preloaded")) << report.str();
 }
 
 TEST(VerifyMicrocode, DetectsUseBeforeDefinition)
@@ -314,8 +349,8 @@ TEST(VerifyChannels, DetectsFirstIterationDeadlock)
 TEST(VerifyCgra, DetectsMissingFuClass)
 {
     verify::Options vo;
-    vo.checkCgra = true;
-    vo.fabric.floatFus = 0; // stream kernel needs FAdd
+    vo.fabric = cgra::CgraParams{};
+    vo.fabric->floatFus = 0; // stream kernel needs FAdd
     const auto report = verify::verifyPlan(distStreamPlan(), vo);
     EXPECT_TRUE(report.hasErrorFrom("cgra")) << report.str();
 }
@@ -324,7 +359,7 @@ TEST(VerifyCgra, OffByDefaultAtCompileTime)
 {
     // The compile-time integration checks the substrate-independent
     // artifact only; fabric legality is the driver's --verify business.
-    EXPECT_FALSE(verify::optionsFor(CompileOptions{}).checkCgra);
+    EXPECT_FALSE(verify::optionsFor(CompileOptions{}).fabric);
 }
 
 // --- Smell warnings. ---

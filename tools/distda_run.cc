@@ -27,13 +27,15 @@
  * prints all verifier diagnostics and exits without simulating;
  * the exit status is nonzero iff any error-severity finding exists.
  * --verify-json=<file> implies --verify-only and additionally writes
- * every diagnostic as structured JSON to the file.
+ * one structured verification report per kernel (diagnostics plus
+ * the static facts; the --analyze=json kernel schema) to the file.
  *
  * --analyze runs each selected (workload, config) pair once with
- * invocation profiling on and prints the plan-analysis facts (bounds,
- * channel liveness, purity; see DESIGN.md §6) per kernel;
+ * invocation profiling on and prints every verification pass's facts
+ * (bounds, channel liveness, purity; see DESIGN.md §6) and
+ * diagnostics per kernel against the recorded profiles;
  * --analyze=json emits one JSON document instead. The exit status is
- * nonzero iff any fact is Violated.
+ * nonzero iff any error is found (every Violated fact is one).
  *
  * --breakdown prints a Table-VI-style per-kernel offload-lifecycle
  * phase table after every run: per-phase latency share (enqueue,
@@ -358,26 +360,9 @@ main(int argc, char **argv)
                 jw.beginObject();
                 jw.key("workload").value(r.workload);
                 jw.key("config").value(r.config);
-                jw.key("kernel").value(r.kernel);
                 jw.key("partitions").value(
                     static_cast<std::uint64_t>(r.partitions));
-                jw.key("channels").value(
-                    static_cast<std::uint64_t>(r.channels));
-                jw.key("errors").value(r.report.errorCount());
-                jw.key("warnings").value(r.report.warningCount());
-                jw.key("diagnostics").beginArray();
-                for (const verify::Diag &d : r.report.diags()) {
-                    jw.beginObject();
-                    jw.key("severity").value(
-                        d.severity == verify::Severity::Error
-                            ? "error"
-                            : "warning");
-                    jw.key("pass").value(d.pass);
-                    jw.key("location").value(d.location);
-                    jw.key("message").value(d.message);
-                    jw.endObject();
-                }
-                jw.endArray();
+                r.report.jsonFields(jw);
                 jw.endObject();
             }
             jw.endArray();
@@ -391,7 +376,7 @@ main(int argc, char **argv)
     if (analyze) {
         // Analysis executes each pair once (profiles need real
         // invocations) and prints facts serially in job order.
-        int violations = 0;
+        int errors = 0;
         sim::JsonWriter jw;
         if (analyze_json) {
             jw.beginObject();
@@ -400,17 +385,17 @@ main(int argc, char **argv)
         for (const std::string &w : workload_names) {
             for (driver::ArchModel m : models) {
                 cfg.model = m;
-                violations += driver::analyzeWorkload(
+                errors += driver::analyzeWorkload(
                     w, cfg, opts, analyze_json ? &jw : nullptr);
             }
         }
         if (analyze_json) {
             jw.endArray();
-            jw.key("violations").value(violations);
+            jw.key("violations").value(errors);
             jw.endObject();
             std::printf("%s\n", jw.str().c_str());
         }
-        return violations ? 1 : 0;
+        return errors ? 1 : 0;
     }
 
     std::vector<driver::SweepJob> jobs;
