@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's primitives: the
- * event queue, the cache model, NoC transfers, the multilevel
- * partitioner, kernel compilation and a small end-to-end engine
- * invocation. These guard the simulator's own performance (wall-clock
- * per simulated event), not the paper's metrics.
+ * cache model, NoC transfers, the multilevel partitioner, kernel
+ * compilation and a small end-to-end engine invocation. These guard
+ * the simulator's own performance (wall-clock per simulated event),
+ * not the paper's metrics.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,28 +17,12 @@
 #include "src/driver/pool.hh"
 #include "src/driver/system.hh"
 #include "src/mem/hierarchy.hh"
-#include "src/sim/event_queue.hh"
 #include "src/sim/rng.hh"
 
 using namespace distda;
 
 namespace
 {
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    sim::EventQueue eq;
-    std::uint64_t fired = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i)
-            eq.scheduleIn(static_cast<sim::Tick>((i * 37) % 101),
-                          [&fired] { ++fired; });
-        eq.run();
-    }
-    benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_EventQueue);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -53,7 +53,6 @@ main(int argc, char **argv)
 {
     bench::Options opts = bench::parseOptions(argc, argv);
     opts.run.scale = 0.25; // fixed quick scale: records must compare
-    opts.sweep.quietRuns = true;
 
     std::string label = "local";
     std::string out_dir = ".";

@@ -15,9 +15,9 @@
 #      violations, affine bounds proven, liveness proven, at least
 #      one memoizable kernel)
 #   7. plan-artifact round trip: dump every plan of the quick sweep
-#      to a --plan-dir, validate each artifact with distda_plan,
-#      re-run loading from the artifacts and from a disabled cache —
-#      the golden quick-sweep CSV must stay byte-identical both ways
+#      to a --plan-dir, validate each artifact with distda_plan and
+#      re-run loading from the artifacts — the golden quick-sweep CSV
+#      must stay byte-identical both ways
 #   8. offload-service smoke: distda_serve on a Unix socket under a
 #      1k-request mixed distda_load replay (zero failures, >=90%
 #      plan-cache hit rate), raw-socket robustness pokes, a served
@@ -188,7 +188,7 @@ for path in sys.argv[1:]:
           f"{memoizable} memoizable)")
 EOF
 
-echo "===== plan-artifact round trip (--plan-dir / --plan-cache=off)"
+echo "===== plan-artifact round trip (--plan-dir)"
 rm -rf "$BUILD/plans"
 "$BUILD"/tools/distda_run --workload=all --config=all --quick --csv \
     --jobs="$JOBS" --plan-dir="$BUILD/plans" \
@@ -196,15 +196,11 @@ rm -rf "$BUILD/plans"
 cmp tests/golden/quick_sweep.csv "$BUILD/sweep-plandump.csv"
 "$BUILD"/tools/distda_plan validate "$BUILD"/plans/*.plan >/dev/null
 # Reload every artifact: metrics must not depend on whether a plan
-# was freshly compiled, deserialized, or compiled with caching off.
+# was freshly compiled or deserialized.
 "$BUILD"/tools/distda_run --workload=all --config=all --quick --csv \
     --jobs="$JOBS" --plan-dir="$BUILD/plans" \
     >"$BUILD/sweep-planload.csv" 2>/dev/null
 cmp tests/golden/quick_sweep.csv "$BUILD/sweep-planload.csv"
-"$BUILD"/tools/distda_run --workload=all --config=all --quick --csv \
-    --jobs="$JOBS" --plan-cache=off \
-    >"$BUILD/sweep-nocache.csv" 2>/dev/null
-cmp tests/golden/quick_sweep.csv "$BUILD/sweep-nocache.csv"
 
 echo "===== offload service smoke (distda_serve + distda_load)"
 SOCK="$BUILD/serve.sock"

@@ -69,14 +69,6 @@ verifyModeName(VerifyMode m)
     }
 }
 
-const Partition &
-OffloadPlan::partitionOf(int node) const
-{
-    const int idx = partitionIndexOf(node);
-    DISTDA_ASSERT(idx >= 0, "node %d not in any partition", node);
-    return partitions[static_cast<std::size_t>(idx)];
-}
-
 int
 OffloadPlan::partitionIndexOf(int node) const
 {

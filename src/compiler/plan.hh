@@ -175,7 +175,6 @@ struct OffloadPlan
      */
     std::string fingerprint;
 
-    const Partition &partitionOf(int node) const;
     /** Partition index containing DFG node @p node (-1 if none). */
     int partitionIndexOf(int node) const;
 };

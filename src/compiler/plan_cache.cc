@@ -35,16 +35,14 @@ PlanCache::getOrCompile(const Kernel &kernel, const CompileOptions &opts)
     Lookup result;
     {
         std::lock_guard<std::mutex> lk(_mu);
-        if (_enabled) {
-            auto it = _entries.find(fp);
-            if (it != _entries.end()) {
-                ++_stats.hits;
-                _stats.savedMs += it->second.compileMs;
-                result.plan = it->second.plan;
-                result.hit = true;
-                result.savedMs = it->second.compileMs;
-                return result;
-            }
+        auto it = _entries.find(fp);
+        if (it != _entries.end()) {
+            ++_stats.hits;
+            _stats.savedMs += it->second.compileMs;
+            result.plan = it->second.plan;
+            result.hit = true;
+            result.savedMs = it->second.compileMs;
+            return result;
         }
     }
 
@@ -58,10 +56,6 @@ PlanCache::getOrCompile(const Kernel &kernel, const CompileOptions &opts)
     std::lock_guard<std::mutex> lk(_mu);
     ++_stats.misses;
     _stats.compileMs += result.compileMs;
-    if (!_enabled) {
-        result.plan = std::move(plan);
-        return result;
-    }
     auto it = _entries.find(fp);
     if (it != _entries.end()) {
         // A concurrent miss inserted first; use its (identical) plan
@@ -83,19 +77,11 @@ PlanCache::insert(std::shared_ptr<const OffloadPlan> plan)
         return;
     const std::string fp = plan->fingerprint;
     std::lock_guard<std::mutex> lk(_mu);
-    if (!_enabled || _entries.count(fp))
+    if (_entries.count(fp))
         return;
     _order.push_back(fp);
     _entries.emplace(fp, Entry{std::move(plan), 0.0});
     evictLocked();
-}
-
-std::shared_ptr<const OffloadPlan>
-PlanCache::find(const std::string &fingerprint) const
-{
-    std::lock_guard<std::mutex> lk(_mu);
-    auto it = _entries.find(fingerprint);
-    return it == _entries.end() ? nullptr : it->second.plan;
 }
 
 PlanCache::Stats
@@ -118,38 +104,11 @@ PlanCache::clear()
 }
 
 void
-PlanCache::setEnabled(bool enabled)
-{
-    std::lock_guard<std::mutex> lk(_mu);
-    if (_enabled && !enabled) {
-        // Disable releases the plans (see the header): a disabled
-        // long-lived server must not keep a hidden warm set alive.
-        _entries.clear();
-        _order.clear();
-    }
-    _enabled = enabled;
-}
-
-bool
-PlanCache::enabled() const
-{
-    std::lock_guard<std::mutex> lk(_mu);
-    return _enabled;
-}
-
-void
 PlanCache::setCapacity(std::size_t capacity)
 {
     std::lock_guard<std::mutex> lk(_mu);
     _capacity = capacity > 0 ? capacity : 1;
     evictLocked();
-}
-
-std::size_t
-PlanCache::capacity() const
-{
-    std::lock_guard<std::mutex> lk(_mu);
-    return _capacity;
 }
 
 void

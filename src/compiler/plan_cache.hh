@@ -74,7 +74,6 @@ class PlanCache
      * concurrent misses on different kernels compile in parallel; two
      * concurrent misses on the same fingerprint both compile and the
      * first insert wins (determinism makes the copies identical).
-     * Disabled caches compile fresh every call and count misses.
      */
     Lookup getOrCompile(const Kernel &kernel, const CompileOptions &opts);
 
@@ -84,30 +83,10 @@ class PlanCache
      */
     void insert(std::shared_ptr<const OffloadPlan> plan);
 
-    /** Cached plan by fingerprint; null when absent. */
-    std::shared_ptr<const OffloadPlan> find(
-        const std::string &fingerprint) const;
-
     Stats stats() const;
 
     /** Drop all entries and reset counters (tests). */
     void clear();
-
-    /**
-     * Toggle caching (--plan-cache=off); enabled by default.
-     *
-     * Disabling FLUSHES every entry. The cache can live for the whole
-     * process (distda_serve runs for days), so "off" must mean "not
-     * holding plan memory", not "silently retaining a shadow copy":
-     * a server operator disabling the cache expects its footprint to
-     * drop to zero, and a later re-enable starts cold — the first
-     * lookup per fingerprint recompiles and re-inserts. Cumulative
-     * hit/miss/eviction counters survive the flush (only clear()
-     * resets them). Re-enabling an enabled cache, or disabling a
-     * disabled one, is a no-op.
-     */
-    void setEnabled(bool enabled);
-    bool enabled() const;
 
     /**
      * FIFO capacity bound (default 4096): long fuzz campaigns and
@@ -118,7 +97,6 @@ class PlanCache
      * oldest-first immediately (counted in Stats::evictions).
      */
     void setCapacity(std::size_t capacity);
-    std::size_t capacity() const;
 
   private:
     struct Entry
@@ -136,7 +114,6 @@ class PlanCache
     std::deque<std::string> _order; ///< insertion order for eviction
     Stats _stats;
     std::size_t _capacity = kDefaultCapacity;
-    bool _enabled = true;
 };
 
 } // namespace distda::compiler

@@ -111,13 +111,6 @@ struct RunConfig
     bool predecode = true;
 
     /**
-     * Reuse compiled plans through the process-wide PlanCache
-     * (src/compiler/plan_cache.hh). On by default: compilation is
-     * deterministic, so a cached plan is bit-identical to a fresh
-     * compile and sweep metrics do not depend on this flag.
-     */
-    bool planCache = true;
-    /**
      * Plan-artifact directory (--plan-dir=): an existing
      * `<kernel>-<fingerprint>.plan` artifact is loaded, validated and
      * used instead of compiling; misses compile and dump the artifact

@@ -1,7 +1,6 @@
 #include "src/driver/context.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 
 #include "src/compiler/plan_cache.hh"
@@ -49,33 +48,20 @@ ExecContext::acquirePlan(const compiler::Kernel &kernel)
             }
             plan = std::move(loaded);
             _planHits += 1.0;
-            if (_config.planCache)
-                compiler::PlanCache::process().insert(plan);
+            compiler::PlanCache::process().insert(plan);
         }
     }
 
     if (!plan) {
-        if (_config.planCache) {
-            compiler::PlanCache::Lookup res =
-                compiler::PlanCache::process().getOrCompile(kernel,
-                                                            opts);
-            plan = res.plan;
-            if (res.hit)
-                _planHits += 1.0;
-            else
-                _planMisses += 1.0;
-            _planCompileMs += res.compileMs;
-            _planSavedMs += res.savedMs;
-        } else {
-            const auto t0 = std::chrono::steady_clock::now();
-            plan = std::make_shared<compiler::OffloadPlan>(
-                compiler::compileKernel(kernel, opts));
-            const auto t1 = std::chrono::steady_clock::now();
+        compiler::PlanCache::Lookup res =
+            compiler::PlanCache::process().getOrCompile(kernel, opts);
+        plan = res.plan;
+        if (res.hit)
+            _planHits += 1.0;
+        else
             _planMisses += 1.0;
-            _planCompileMs +=
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-        }
+        _planCompileMs += res.compileMs;
+        _planSavedMs += res.savedMs;
         if (!artifact.empty())
             compiler::savePlan(*plan, artifact);
     }
@@ -119,12 +105,11 @@ ExecContext::compiled(const compiler::Kernel &kernel)
     if (_config.usesAccelerator()) {
         engine::EngineConfig ec = _config.engineConfig();
         ec.probe = _probe;
-        ck.runtime = offload::instantiate(ck.plan, ec, &_sys.hier(),
-                                          &_sys.backend(),
-                                          &_sys.acct());
+        ck.runtime = std::make_unique<offload::OffloadRuntime>(
+            *ck.plan, ec, &_sys.hier(), &_sys.backend(), &_sys.acct());
     } else {
         ck.host = std::make_unique<engine::HostExecutor>(
-            ck.plan, &_sys.hier(), &_sys.backend(), &_sys.acct());
+            ck.plan->kernel, &_sys.hier(), &_sys.backend(), &_sys.acct());
     }
     auto [pos, ok] = _kernels.emplace(kernel.name, std::move(ck));
     DISTDA_ASSERT(ok, "kernel '%s' compiled twice",
@@ -309,13 +294,6 @@ ExecContext::analyzeAll() const
         all.push_back(verify::verifyPlan(*ck.plan, vo));
     }
     return all;
-}
-
-const compiler::OffloadPlan *
-ExecContext::planOf(const std::string &kernel_name) const
-{
-    auto it = _kernels.find(kernel_name);
-    return it == _kernels.end() ? nullptr : it->second.plan.get();
 }
 
 const compiler::OffloadPlan &

@@ -86,10 +86,6 @@ class ExecContext
     sim::Tick nowTick() const { return _now; }
     double nowNs() const { return static_cast<double>(_now) / 1000.0; }
 
-    /** Compiled plan of a kernel (after first invoke). */
-    const compiler::OffloadPlan *planOf(const std::string &kernel_name)
-        const;
-
     /** Compile a kernel without running it (tables/characteristics). */
     const compiler::OffloadPlan &compileOnly(
         const compiler::Kernel &kernel);
@@ -109,6 +105,10 @@ class ExecContext
   private:
     struct CompiledKernel
     {
+        /**
+         * Owns the plan that runtime/host borrow; declared first so it
+         * is destroyed after them.
+         */
         std::shared_ptr<const compiler::OffloadPlan> plan;
         std::unique_ptr<offload::OffloadRuntime> runtime;
         std::unique_ptr<engine::HostExecutor> host;
@@ -125,8 +125,8 @@ class ExecContext
 
     /**
      * The compile half of the compile→instantiate split: obtain an
-     * immutable plan from (in order) a --plan-dir artifact, the
-     * process-wide PlanCache, or a fresh compile, optionally
+     * immutable plan from a --plan-dir artifact or else the
+     * process-wide PlanCache (which compiles on a miss), optionally
      * round-tripping it through the text artifact format.
      */
     std::shared_ptr<const compiler::OffloadPlan> acquirePlan(

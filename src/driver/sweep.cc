@@ -120,8 +120,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opts)
         return results;
 
     const bool prior_inform = informEnabled();
-    if (opts.quietRuns)
-        setInformEnabled(false);
+    setInformEnabled(false);
 
     if (!opts.reportDir.empty() &&
         ::mkdir(opts.reportDir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -171,8 +170,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opts)
         pool.wait();
     }
 
-    if (opts.quietRuns)
-        setInformEnabled(prior_inform);
+    setInformEnabled(prior_inform);
 
     if (opts.progress) {
         double hits = 0.0, misses = 0.0, saved_ms = 0.0;

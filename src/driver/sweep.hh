@@ -58,8 +58,6 @@ struct SweepOptions
     int jobs = 0;
     /** Live "done/total + ETA" line on stderr while running. */
     bool progress = false;
-    /** Silence inform() for the duration of the sweep (restored). */
-    bool quietRuns = true;
     /**
      * When non-empty, every job writes its observability outputs into
      * this directory (created if missing) as
@@ -79,7 +77,8 @@ int defaultJobCount();
 /**
  * Execute @p jobs concurrently and return one SweepResult per job, in
  * job order. Thread-safe to call from one thread at a time; the jobs
- * themselves may run on any worker.
+ * themselves may run on any worker. inform() is silenced for the
+ * duration of the sweep and restored afterwards.
  */
 std::vector<SweepResult> runSweep(const std::vector<SweepJob> &jobs,
                                   const SweepOptions &opts = {});

@@ -52,12 +52,6 @@ Accountant::totalPj() const
 }
 
 void
-Accountant::reset()
-{
-    _perComponent.fill(0.0);
-}
-
-void
 Accountant::exportStats(stats::Group &group) const
 {
     for (std::size_t i = 0;

@@ -101,9 +101,6 @@ class Accountant
     /** Total energy across all components, in picojoules. */
     double totalPj() const;
 
-    /** Zero all accumulators. */
-    void reset();
-
     /** Export per-component totals into @p group. */
     void exportStats(stats::Group &group) const;
 

@@ -55,25 +55,6 @@ DataflowEngine::DataflowEngine(const OffloadPlan &plan,
     }
 }
 
-int
-DataflowEngine::configWordsPerInvoke() const
-{
-    // cp_config per partition, cp_config_stream/random per accessor
-    // buffer, cp_set_rf per (partition, param), cp_run per partition.
-    int words = 0;
-    for (const Partition &part : _plan.partitions) {
-        words += 2; // cp_config + cp_run
-        words += part.streamBuffers;
-        bool random = false;
-        for (const AccessorDef &ad : part.accessors)
-            random |= ad.pattern == PatternKind::Indirect;
-        if (random)
-            ++words;
-        words += static_cast<int>(part.program.paramRegs.size());
-    }
-    return words;
-}
-
 std::vector<DataflowEngine::ChannelEdge>
 DataflowEngine::channelTopology() const
 {

@@ -107,9 +107,6 @@ class DataflowEngine
         return _mappings;
     }
 
-    /** Total MMIO-visible configuration words per invocation. */
-    int configWordsPerInvoke() const;
-
     /** One channel edge as the engine instantiates it. */
     struct ChannelEdge
     {

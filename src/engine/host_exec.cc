@@ -25,17 +25,6 @@ HostExecutor::HostExecutor(const Kernel &kernel, mem::Hierarchy *hier,
 {
 }
 
-HostExecutor::HostExecutor(
-    std::shared_ptr<const compiler::OffloadPlan> plan,
-    mem::Hierarchy *hier, MemBackend *backend, energy::Accountant *acct,
-    const HostParams &params)
-    : _planRef(std::move(plan)), _kernel(_planRef->kernel), _hier(hier),
-      _backend(backend), _acct(acct), _params(params),
-      _dep(compiler::classifyKernel(_kernel)),
-      _topo(_kernel.topoOrder())
-{
-}
-
 HostRunResult
 HostExecutor::run(const std::vector<ArrayRef> &bindings,
                   const std::vector<Word> &params, sim::Tick start_tick)

@@ -10,12 +10,10 @@
 #ifndef DISTDA_ENGINE_HOST_EXEC_HH
 #define DISTDA_ENGINE_HOST_EXEC_HH
 
-#include <memory>
 #include <vector>
 
 #include "src/compiler/classify.hh"
 #include "src/compiler/dfg.hh"
-#include "src/compiler/plan.hh"
 #include "src/energy/energy_model.hh"
 #include "src/engine/backend.hh"
 #include "src/mem/hierarchy.hh"
@@ -66,23 +64,11 @@ class HostExecutor
                  MemBackend *backend, energy::Accountant *acct,
                  const HostParams &params = HostParams{});
 
-    /**
-     * Owning binding for the compile→instantiate split: executes the
-     * plan's kernel and shares plan ownership so cached or
-     * deserialized plans stay alive for the executor's lifetime.
-     */
-    HostExecutor(std::shared_ptr<const compiler::OffloadPlan> plan,
-                 mem::Hierarchy *hier, MemBackend *backend,
-                 energy::Accountant *acct,
-                 const HostParams &params = HostParams{});
-
     HostRunResult run(const std::vector<ArrayRef> &bindings,
                       const std::vector<compiler::Word> &params,
                       sim::Tick start_tick);
 
   private:
-    /** Owned plan for the shared_ptr constructor; null when borrowed. */
-    std::shared_ptr<const compiler::OffloadPlan> _planRef;
     const compiler::Kernel &_kernel;
     mem::Hierarchy *_hier;
     MemBackend *_backend;

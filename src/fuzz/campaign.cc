@@ -38,12 +38,12 @@ handleFailure(const CampaignOptions &opts, int run,
     if (opts.shrink) {
         const std::string want = fail.signature;
         ShrinkOracle oracle = [&](const FuzzCase &cand) {
-            return runDifferential(cand, opts.diff).signature() == want;
+            return runDifferential(cand).signature() == want;
         };
         minimized =
             shrinkCase(c, oracle, opts.shrinkRounds, nullptr);
     }
-    fail.summary = runDifferential(minimized, opts.diff).summary();
+    fail.summary = runDifferential(minimized).summary();
     fail.minimized = std::move(minimized);
 
     if (!opts.outDir.empty()) {
@@ -67,7 +67,7 @@ runCampaign(const CampaignOptions &opts)
     auto runOne = [&](int run) {
         const std::uint64_t case_seed = caseSeedFor(opts.seed, run);
         FuzzCase c = generateCase(case_seed, opts.gen);
-        DiffOutcome outcome = runDifferential(c, opts.diff);
+        DiffOutcome outcome = runDifferential(c);
         if (outcome.ok()) {
             if (opts.verbose) {
                 std::lock_guard<std::mutex> lk(mu);
@@ -108,13 +108,12 @@ runCampaign(const CampaignOptions &opts)
 }
 
 int
-replayCorpus(const std::vector<std::string> &files,
-             const DiffOptions &opts, bool verbose)
+replayCorpus(const std::vector<std::string> &files, bool verbose)
 {
     int failed = 0;
     for (const std::string &file : files) {
         FuzzCase c = loadCase(file);
-        DiffOutcome outcome = runDifferential(c, opts);
+        DiffOutcome outcome = runDifferential(c);
         if (outcome.ok()) {
             if (verbose)
                 std::fprintf(stderr, "  %s: ok\n", file.c_str());

@@ -27,7 +27,6 @@ struct CampaignOptions
     int runs = 100;
     int jobs = 1;
     GenOptions gen;
-    DiffOptions diff;
     /** Minimize failures before reporting/saving them. */
     bool shrink = true;
     int shrinkRounds = 8;
@@ -70,7 +69,7 @@ CampaignResult runCampaign(const CampaignOptions &opts);
  * of files that failed (0 = corpus green).
  */
 int replayCorpus(const std::vector<std::string> &files,
-                 const DiffOptions &opts = {}, bool verbose = false);
+                 bool verbose = false);
 
 } // namespace distda::fuzz
 

@@ -470,7 +470,7 @@ DiffOutcome::summary() const
 }
 
 DiffOutcome
-runDifferential(const FuzzCase &c, const DiffOptions &opts)
+runDifferential(const FuzzCase &c)
 {
     DiffOutcome out;
     const std::string invalid = validateCase(c);
@@ -494,21 +494,20 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
         return cfg;
     };
     specs.push_back({"OoO", mkcfg(ArchModel::OoO)});
-    if (opts.mono) {
-        specs.push_back({"Mono-CA", mkcfg(ArchModel::MonoCA)});
-        specs.push_back({"Mono-DA-IO", mkcfg(ArchModel::MonoDA_IO)});
-    }
+    specs.push_back({"Mono-CA", mkcfg(ArchModel::MonoCA)});
+    specs.push_back({"Mono-DA-IO", mkcfg(ArchModel::MonoDA_IO)});
     specs.push_back(
         {"Dist-DA-IO/interp", mkcfg(ArchModel::DistDA_IO, false)});
     specs.push_back(
         {"Dist-DA-IO/predecode", mkcfg(ArchModel::DistDA_IO)});
-    if (opts.planRoundTrip) {
-        RunConfig replan = mkcfg(ArchModel::DistDA_IO);
-        replan.planRoundTrip = true;
-        specs.push_back({"Dist-DA-IO/replan", replan});
-    }
-    if (opts.cgra)
-        specs.push_back({"Dist-DA-F", mkcfg(ArchModel::DistDA_F)});
+    // Replan: identical to predecode except every plan is round-tripped
+    // through the text artifact format before execution; its metrics
+    // must match predecode field for field (the serializer's
+    // exactness oracle).
+    RunConfig replan_cfg = mkcfg(ArchModel::DistDA_IO);
+    replan_cfg.planRoundTrip = true;
+    specs.push_back({"Dist-DA-IO/replan", replan_cfg});
+    specs.push_back({"Dist-DA-F", mkcfg(ArchModel::DistDA_F)});
 
     // DISTDA_FUZZ_TRACE=1 narrates per-path progress on stderr —
     // the way to localize a hang to one execution path.
@@ -533,13 +532,12 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
             reference = &r;
         }
     }
-    // Static-vs-dynamic soundness oracle (independent of the
+    // Static-vs-dynamic soundness oracle: bounds verdicts, claimed
+    // access ranges, liveness and write footprints (independent of the
     // cross-path comparison, so it runs even when paths crashed).
-    if (opts.analyze) {
-        if (trace)
-            std::fprintf(stderr, "    [diff] analyze\n");
-        crossCheckAnalysis(c, out.paths, out.findings);
-    }
+    if (trace)
+        std::fprintf(stderr, "    [diff] analyze\n");
+    crossCheckAnalysis(c, out.paths, out.findings);
 
     if (!reference)
         return out; // everything crashed; nothing to compare

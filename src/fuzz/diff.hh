@@ -61,28 +61,6 @@ struct Finding
 
 const char *findingKindName(Finding::Kind k);
 
-struct DiffOptions
-{
-    /** Include the CGRA (Dist-DA-F) path. */
-    bool cgra = true;
-    /** Include the monolithic (Mono-CA / Mono-DA-IO) paths. */
-    bool mono = true;
-    /**
-     * Cross-check the plan analyses against the dynamic outcome:
-     * bounds verdicts, claimed access ranges, liveness, and write
-     * footprints (unwritten objects must end byte-identical).
-     */
-    bool analyze = true;
-    /**
-     * Include the Dist-DA-IO/replan path: identical configuration to
-     * Dist-DA-IO/predecode except every plan is round-tripped through
-     * the text artifact format (serialize→parse→instantiate) before
-     * execution. Its metrics must match predecode field for field —
-     * the serializer's exactness oracle.
-     */
-    bool planRoundTrip = true;
-};
-
 /** Result of one differential run. */
 struct DiffOutcome
 {
@@ -103,9 +81,8 @@ struct DiffOutcome
     std::string summary() const;
 };
 
-/** Run @p c through every enabled path and cross-check. */
-DiffOutcome runDifferential(const FuzzCase &c,
-                            const DiffOptions &opts = {});
+/** Run @p c through every path and cross-check. */
+DiffOutcome runDifferential(const FuzzCase &c);
 
 } // namespace distda::fuzz
 

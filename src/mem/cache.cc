@@ -246,19 +246,6 @@ Cache::prefetch(Addr line_addr, sim::Tick now)
 }
 
 void
-Cache::flush(sim::Tick now)
-{
-    for (Line &line : _lines) {
-        if (line.valid && line.dirty) {
-            _writebacks += 1.0;
-            _downstream(line.tag * lineBytes, true, now);
-        }
-        line.valid = false;
-        line.dirty = false;
-    }
-}
-
-void
 Cache::exportStats(stats::Group &group) const
 {
     const std::string p = _params.name + ".";
@@ -268,20 +255,6 @@ Cache::exportStats(stats::Group &group) const
     group.add(p + "writebacks") = _writebacks;
     group.add(p + "prefetches") = _prefetches;
     group.add(p + "prefetch_hits") = _prefetchHits;
-}
-
-void
-Cache::reset()
-{
-    for (Line &line : _lines)
-        line = Line{};
-    std::fill(_mshrFree.begin(), _mshrFree.end(), 0);
-    for (StrideEntry &e : _strideTable)
-        e = StrideEntry{};
-    _mru = nullptr;
-    _lruTick = 0;
-    _accesses = _hits = _misses = _writebacks = 0;
-    _prefetches = _prefetchHits = 0;
 }
 
 } // namespace distda::mem

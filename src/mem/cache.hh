@@ -145,9 +145,6 @@ class Cache
     /** True when the line containing @p addr is resident. */
     bool contains(Addr addr) const;
 
-    /** Invalidate every line (accelerator/host scope handoff). */
-    void flush(sim::Tick now);
-
     double accesses() const { return _accesses; }
     double hits() const { return _hits; }
     double misses() const { return _misses; }
@@ -157,7 +154,6 @@ class Cache
     double prefetchHits() const { return _prefetchHits; }
 
     void exportStats(stats::Group &group) const;
-    void reset();
 
     /**
      * Attach a timeline probe: demand misses emit "miss" spans on

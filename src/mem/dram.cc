@@ -63,13 +63,4 @@ Dram::exportStats(stats::Group &group) const
     group.add("dram.row_misses") = _rowMisses;
 }
 
-void
-Dram::reset()
-{
-    std::fill(_openRow.begin(), _openRow.end(), -1);
-    std::fill(_bankBusyUntil.begin(), _bankBusyUntil.end(), 0);
-    _busBusyUntil = 0;
-    _reads = _writes = _rowHits = _rowMisses = 0;
-}
-
 } // namespace distda::mem

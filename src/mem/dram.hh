@@ -51,7 +51,6 @@ class Dram
     double rowMisses() const { return _rowMisses; }
 
     void exportStats(stats::Group &group) const;
-    void reset();
 
   private:
     DramParams _params;

@@ -140,16 +140,4 @@ Hierarchy::attachProbe(sim::Probe &probe)
     _mesh->setProbe(&probe);
 }
 
-void
-Hierarchy::reset()
-{
-    _l1->reset();
-    _l2->reset();
-    _l3->reset();
-    _dram->reset();
-    _mesh->reset();
-    for (auto &a : _acps)
-        a->reset();
-}
-
 } // namespace distda::mem

@@ -64,7 +64,6 @@ class Hierarchy
     double cacheAccesses() const;
 
     void exportStats(stats::Group &group) const;
-    void reset();
 
     /**
      * Wire a per-run timeline probe through the whole memory system:

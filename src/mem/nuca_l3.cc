@@ -154,12 +154,4 @@ NucaL3::attachProbe(sim::Probe &probe)
     }
 }
 
-void
-NucaL3::reset()
-{
-    for (auto &b : _banks)
-        b->reset();
-    _affinity.clear();
-}
-
 } // namespace distda::mem

@@ -84,7 +84,6 @@ class NucaL3
     double totalMisses() const;
 
     void exportStats(stats::Group &group) const;
-    void reset();
 
     /**
      * Register one timeline track per bank (under its cluster's

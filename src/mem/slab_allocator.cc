@@ -142,16 +142,4 @@ ObjectTable::elemBytes(int obj_id) const
     return entry(obj_id).elemBytes;
 }
 
-std::uint64_t
-ObjectTable::elemCount(int obj_id) const
-{
-    return entry(obj_id).elemCount;
-}
-
-Addr
-ObjectTable::baseOf(int obj_id) const
-{
-    return entry(obj_id).base;
-}
-
 } // namespace distda::mem

@@ -96,12 +96,6 @@ class ObjectTable
     /** Element size for an object. */
     std::uint32_t elemBytes(int obj_id) const;
 
-    /** Element count for an object. */
-    std::uint64_t elemCount(int obj_id) const;
-
-    /** Base physical address for an object. */
-    Addr baseOf(int obj_id) const;
-
     bool contains(int obj_id) const { return _entries.count(obj_id) > 0; }
     std::size_t size() const { return _entries.size(); }
 

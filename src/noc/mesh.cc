@@ -1,8 +1,6 @@
 #include "src/noc/mesh.hh"
 
-#include <algorithm>
 #include <cstdlib>
-#include <set>
 
 #include "src/sim/logging.hh"
 #include "src/sim/probe.hh"
@@ -60,58 +58,6 @@ Mesh::recordTransfer(int src, int nhops, std::uint32_t bytes,
     _pktHops->sample(static_cast<double>(nhops));
 }
 
-TransferResult
-Mesh::multicast(int src, const std::vector<int> &dsts, std::uint32_t bytes,
-                TrafficClass cls, sim::Tick now)
-{
-    if (dsts.empty())
-        return TransferResult{0, 0};
-    if (_probe) {
-        _probe->instant(_nodeTracks[static_cast<std::size_t>(src)],
-                        "multicast", now);
-    }
-
-    // Build the set of unique links along the XY paths; energy and
-    // bytes are charged once per unique link (tree forwarding).
-    std::set<std::pair<int, int>> links;
-    int max_hops = 0;
-    for (int dst : dsts) {
-        max_hops = std::max(max_hops, hops(src, dst));
-        int x = nodeX(src), y = nodeY(src);
-        const int tx = nodeX(dst), ty = nodeY(dst);
-        int cur = src;
-        while (x != tx || y != ty) {
-            if (x != tx)
-                x += (tx > x) ? 1 : -1;
-            else
-                y += (ty > y) ? 1 : -1;
-            int nxt = y * _params.cols + x;
-            links.insert({cur, nxt});
-            cur = nxt;
-        }
-    }
-
-    const auto idx = static_cast<std::size_t>(cls);
-    _bytes[idx] += static_cast<double>(bytes) * links.size() /
-                   std::max<std::size_t>(hops(src, dsts.front()), 1);
-    _packets[idx] += 1.0;
-
-    const double flits = static_cast<double>(
-        (bytes + _params.flitBytes - 1) / _params.flitBytes);
-    _totalHopFlits += flits * static_cast<double>(links.size());
-    if (_acct) {
-        _acct->addEvents(energy::Component::Noc,
-                         flits * static_cast<double>(links.size()));
-    }
-
-    const sim::Cycles ser_cycles =
-        (bytes + _params.linkBytes - 1) / _params.linkBytes;
-    const sim::Tick latency = _clock.cyclesToTicks(
-        static_cast<sim::Cycles>(max_hops) * _params.hopCycles +
-        std::max<sim::Cycles>(ser_cycles, 1));
-    return TransferResult{latency, max_hops};
-}
-
 double
 Mesh::bytesInClass(TrafficClass cls) const
 {
@@ -140,15 +86,6 @@ Mesh::exportStats(stats::Group &group) const
     }
     group.add("noc_bytes.total") = totalBytes();
     group.add("noc_hop_flits") = _totalHopFlits;
-}
-
-void
-Mesh::reset()
-{
-    _bytes.fill(0.0);
-    _packets.fill(0.0);
-    _totalHopFlits = 0.0;
-    std::fill(_routerBusyUntil.begin(), _routerBusyUntil.end(), 0);
 }
 
 } // namespace distda::noc

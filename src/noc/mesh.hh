@@ -144,15 +144,6 @@ class Mesh
         return TransferResult{done - now, nhops};
     }
 
-    /**
-     * Multicast @p bytes from @p src to every node in @p dsts; the NoC
-     * forwards along a shared path where possible so energy is charged
-     * per unique link, not per destination.
-     */
-    TransferResult multicast(int src, const std::vector<int> &dsts,
-                             std::uint32_t bytes, TrafficClass cls,
-                             sim::Tick now);
-
     /** Total bytes injected in one traffic class. */
     double bytesInClass(TrafficClass cls) const;
 
@@ -164,9 +155,6 @@ class Mesh
 
     /** Export traffic counters into @p group. */
     void exportStats(stats::Group &group) const;
-
-    /** Zero all counters and busy state. */
-    void reset();
 
     /**
      * Attach a timeline probe: every cross-node packet becomes a span

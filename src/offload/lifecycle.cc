@@ -57,12 +57,4 @@ LifecycleStats::add(const OffloadRecord &rec)
     _e2e.sample(static_cast<double>(rec.endToEnd()));
 }
 
-void
-LifecycleStats::reset()
-{
-    for (stats::Distribution &d : _phase)
-        d.reset();
-    _e2e.reset();
-}
-
 } // namespace distda::offload

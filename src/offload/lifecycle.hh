@@ -127,8 +127,6 @@ class LifecycleStats
 
     double e2eTicks() const { return _e2e.sum(); }
 
-    void reset();
-
   private:
     std::array<stats::Distribution, kNumPhases> _phase;
     stats::Distribution _e2e;

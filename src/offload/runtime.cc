@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/sim/logging.hh"
-
 namespace distda::offload
 {
 
@@ -20,26 +18,6 @@ OffloadRuntime::OffloadRuntime(const compiler::OffloadPlan &plan,
     : _plan(plan), _engine(plan, config, hier, backend, acct),
       _iface(hier, acct), _hier(hier)
 {
-}
-
-OffloadRuntime::OffloadRuntime(
-    std::shared_ptr<const compiler::OffloadPlan> plan,
-    const engine::EngineConfig &config, mem::Hierarchy *hier,
-    engine::MemBackend *backend, energy::Accountant *acct)
-    : _planRef(std::move(plan)), _plan(*_planRef),
-      _engine(*_planRef, config, hier, backend, acct),
-      _iface(hier, acct), _hier(hier)
-{
-}
-
-std::unique_ptr<OffloadRuntime>
-instantiate(std::shared_ptr<const compiler::OffloadPlan> plan,
-            const engine::EngineConfig &config, mem::Hierarchy *hier,
-            engine::MemBackend *backend, energy::Accountant *acct)
-{
-    DISTDA_ASSERT(plan != nullptr, "instantiate: null plan");
-    return std::make_unique<OffloadRuntime>(std::move(plan), config,
-                                            hier, backend, acct);
 }
 
 OffloadRunResult
@@ -167,12 +145,6 @@ OffloadRuntime::invoke(const std::vector<engine::ArrayRef> &bindings,
     result.memOps = inv.memOps;
     result.record = rec;
     return result;
-}
-
-void
-OffloadRuntime::release()
-{
-    _allocated = false;
 }
 
 } // namespace distda::offload

@@ -11,7 +11,6 @@
 #ifndef DISTDA_OFFLOAD_RUNTIME_HH
 #define DISTDA_OFFLOAD_RUNTIME_HH
 
-#include <memory>
 #include <vector>
 
 #include "src/engine/engine.hh"
@@ -39,17 +38,8 @@ struct OffloadRunResult
 class OffloadRuntime
 {
   public:
-    /** Borrowing binding: @p plan must outlive the runtime. */
+    /** Binds @p plan, which must outlive the runtime. */
     OffloadRuntime(const compiler::OffloadPlan &plan,
-                   const engine::EngineConfig &config,
-                   mem::Hierarchy *hier, engine::MemBackend *backend,
-                   energy::Accountant *acct);
-
-    /**
-     * Owning binding: shares the plan, so a PlanCache eviction (or a
-     * dropped caller reference) cannot leave the engine dangling.
-     */
-    OffloadRuntime(std::shared_ptr<const compiler::OffloadPlan> plan,
                    const engine::EngineConfig &config,
                    mem::Hierarchy *hier, engine::MemBackend *backend,
                    energy::Accountant *acct);
@@ -67,30 +57,13 @@ class OffloadRuntime
 
     double mmioOps() const { return _iface.mmioOps(); }
 
-    /** Deallocate accelerator resources (end of the offload's reuse). */
-    void release();
-
   private:
-    /** Owned plan for the shared_ptr constructor; null when borrowed. */
-    std::shared_ptr<const compiler::OffloadPlan> _planRef;
     const compiler::OffloadPlan &_plan;
     engine::DataflowEngine _engine;
     CoprocessorInterface _iface;
     mem::Hierarchy *_hier;
     bool _allocated = false;
-    std::vector<int> _bufIds;
 };
-
-/**
- * The separated instantiation step of the compile→execute split: bind
- * an immutable (freshly compiled, cached, or deserialized) plan to a
- * live engine. Instantiation never mutates the plan, which is what
- * lets one cached plan serve many concurrent engine bindings.
- */
-std::unique_ptr<OffloadRuntime> instantiate(
-    std::shared_ptr<const compiler::OffloadPlan> plan,
-    const engine::EngineConfig &config, mem::Hierarchy *hier,
-    engine::MemBackend *backend, energy::Accountant *acct);
 
 } // namespace distda::offload
 

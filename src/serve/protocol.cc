@@ -116,9 +116,6 @@ parseConfig(const sim::JsonValue &v, driver::RunConfig &cfg,
                 return schemaError(
                     err, "member 'channel_capacity' out of range");
             cfg.channelCapacityOverride = static_cast<int>(cap);
-        } else if (key == "plan_cache") {
-            if (!wantBool(member, key, cfg.planCache, err))
-                return false;
         } else {
             return schemaError(err,
                                "unknown config member '" + key + "'");
@@ -199,7 +196,6 @@ buildRequestLine(const ServeRequest &req)
     w.key("channel_capacity")
         .value(static_cast<std::int64_t>(
             req.config.channelCapacityOverride));
-    w.key("plan_cache").value(req.config.planCache);
     w.endObject();
     w.key("scale").value(req.scale);
     w.key("probe").value(req.probe);

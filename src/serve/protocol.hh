@@ -21,8 +21,7 @@
  *       "no_combining": false,
  *       "no_retention": false,
  *       "buffer_bytes": 0,
- *       "channel_capacity": 0,
- *       "plan_cache": true
+ *       "channel_capacity": 0
  *     },
  *     "scale": 0.25,                // problem-size multiplier
  *     "probe": false                // full report (timeline dists +

@@ -103,14 +103,6 @@ P2Quantile::value() const
     return _heights[rank < _n ? rank : _n - 1];
 }
 
-void
-P2Quantile::reset()
-{
-    _n = 0;
-    for (int i = 0; i < 5; ++i)
-        _heights[i] = _positions[i] = _desired[i] = 0.0;
-}
-
 Distribution::Distribution(double lo, double hi, std::size_t num_buckets)
     : _lo(lo), _hi(hi), _buckets(num_buckets == 0 ? 1 : num_buckets, 0.0)
 {
@@ -157,19 +149,6 @@ Distribution::stdev() const
 }
 
 void
-Distribution::reset()
-{
-    for (double &b : _buckets)
-        b = 0.0;
-    _count = _sum = _sumSq = 0.0;
-    _min = _max = 0.0;
-    _underflow = _overflow = 0.0;
-    _p50.reset();
-    _p95.reset();
-    _p99.reset();
-}
-
-void
 Distribution::jsonDump(sim::JsonWriter &w) const
 {
     w.beginObject();
@@ -197,11 +176,10 @@ Distribution::jsonDump(sim::JsonWriter &w) const
 void
 Group::checkFresh(const std::string &stat_name) const
 {
-    // One name space across scalars, distributions and formulas: a
-    // cross-kind collision would be just as ambiguous in a flattened
-    // dump as a same-kind one.
-    if (_scalars.count(stat_name) || _distributions.count(stat_name) ||
-        _formulas.count(stat_name)) {
+    // One name space across scalars and distributions: a cross-kind
+    // collision would be just as ambiguous in a JSON dump as a
+    // same-kind one.
+    if (_scalars.count(stat_name) || _distributions.count(stat_name)) {
         panic("duplicate stat '%s' in group '%s'", stat_name.c_str(),
               _name.c_str());
     }
@@ -221,13 +199,6 @@ Group::addDistribution(const std::string &stat_name, double lo, double hi,
     checkFresh(stat_name);
     return _distributions.try_emplace(stat_name, lo, hi, num_buckets)
         .first->second;
-}
-
-void
-Group::addFormula(const std::string &stat_name, std::function<double()> fn)
-{
-    checkFresh(stat_name);
-    _formulas.try_emplace(stat_name, Formula(std::move(fn)));
 }
 
 void
@@ -261,66 +232,12 @@ Group::getDistribution(const std::string &stat_name) const
     return it->second;
 }
 
-double
-Group::value(const std::string &path) const
-{
-    auto dot = path.find('.');
-    if (dot == std::string::npos) {
-        if (auto it = _formulas.find(path); it != _formulas.end())
-            return it->second.value();
-        return get(path).value();
-    }
-    std::string head = path.substr(0, dot);
-    std::string rest = path.substr(dot + 1);
-    for (const Group *child : _children) {
-        if (child->name() == head)
-            return child->value(rest);
-    }
-    panic("stat group '%s' has no child '%s'", _name.c_str(), head.c_str());
-}
-
-std::vector<std::pair<std::string, double>>
-Group::dump() const
-{
-    std::vector<std::pair<std::string, double>> out;
-    for (const auto &[k, v] : _scalars)
-        out.emplace_back(_name + "." + k, v.value());
-    for (const auto &[k, v] : _formulas)
-        out.emplace_back(_name + "." + k, v.value());
-    for (const auto &[k, d] : _distributions) {
-        const std::string base = _name + "." + k;
-        out.emplace_back(base + ".count", d.count());
-        out.emplace_back(base + ".mean", d.mean());
-        out.emplace_back(base + ".stdev", d.stdev());
-        out.emplace_back(base + ".min", d.min());
-        out.emplace_back(base + ".max", d.max());
-    }
-    for (const Group *child : _children) {
-        for (auto &[k, v] : child->dump())
-            out.emplace_back(_name + "." + k, v);
-    }
-    return out;
-}
-
-void
-Group::resetAll()
-{
-    for (auto &[k, v] : _scalars)
-        v.reset();
-    for (auto &[k, d] : _distributions)
-        d.reset();
-    for (Group *child : _children)
-        child->resetAll();
-}
-
 void
 Group::jsonDump(sim::JsonWriter &w) const
 {
     w.beginObject();
     for (const auto &[k, v] : _scalars)
         w.key(k).value(v.value());
-    for (const auto &[k, f] : _formulas)
-        w.key(k).value(f.value());
     for (const auto &[k, d] : _distributions) {
         w.key(k);
         d.jsonDump(w);
@@ -330,14 +247,6 @@ Group::jsonDump(sim::JsonWriter &w) const
         child->jsonDump(w);
     }
     w.endObject();
-}
-
-std::string
-Group::jsonString() const
-{
-    sim::JsonWriter w;
-    jsonDump(w);
-    return w.str();
 }
 
 } // namespace distda::stats

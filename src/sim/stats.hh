@@ -1,10 +1,10 @@
 /**
  * @file
  * A lightweight named-statistics framework. Components own a
- * stats::Group and register scalar counters, fixed-bucket
- * distributions and derived formulas with it; drivers collect values
- * by name for the table/figure reports and dump whole Group trees as
- * JSON for the machine-readable run reports.
+ * stats::Group and register scalar counters and fixed-bucket
+ * distributions with it; drivers collect values by name for the
+ * table/figure reports and dump whole Group trees as JSON for the
+ * machine-readable run reports.
  */
 
 #ifndef DISTDA_SIM_STATS_HH
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,7 +35,6 @@ class Scalar
     Scalar &operator=(double v) { _value = v; return *this; }
 
     double value() const { return _value; }
-    void reset() { _value = 0.0; }
 
   private:
     double _value = 0.0;
@@ -62,8 +60,6 @@ class P2Quantile
 
     double quantile() const { return _q; }
     std::uint64_t samples() const { return _n; }
-
-    void reset();
 
   private:
     double _q;
@@ -121,8 +117,6 @@ class Distribution
         return (_hi - _lo) / static_cast<double>(_buckets.size());
     }
 
-    void reset();
-
     /** Emit this distribution as a JSON object value. */
     void jsonDump(sim::JsonWriter &w) const;
 
@@ -140,23 +134,6 @@ class Distribution
     P2Quantile _p50{0.50};
     P2Quantile _p95{0.95};
     P2Quantile _p99{0.99};
-};
-
-/**
- * A derived statistic evaluated on demand — the stats analogue of
- * gem5's Formula. The callable reads other stats (or component state)
- * when the group is dumped, so derived values never go stale.
- */
-class Formula
-{
-  public:
-    Formula() = default;
-    explicit Formula(std::function<double()> fn) : _fn(std::move(fn)) {}
-
-    double value() const { return _fn ? _fn() : 0.0; }
-
-  private:
-    std::function<double()> _fn;
 };
 
 /**
@@ -183,10 +160,6 @@ class Group
                                   double lo = 0.0, double hi = 1.0,
                                   std::size_t num_buckets = 1);
 
-    /** Register a derived statistic evaluated at dump time. */
-    void addFormula(const std::string &stat_name,
-                    std::function<double()> fn);
-
     /** Attach @p child so its stats appear as "<child>.<stat>". */
     void addChild(Group *child);
 
@@ -198,30 +171,10 @@ class Group
         const std::string &stat_name) const;
 
     /**
-     * Value lookup that walks children with dotted paths. Resolves
-     * scalars and formulas; panics when the path names neither.
-     */
-    double value(const std::string &path) const;
-
-    /**
-     * Flatten this group and children into (name, value) pairs.
-     * Formulas are evaluated; distributions contribute their summary
-     * moments as "<name>.count" / ".mean" / ".stdev" / ".min" /
-     * ".max" entries.
-     */
-    std::vector<std::pair<std::string, double>> dump() const;
-
-    /** Reset every statistic in this group and its children. */
-    void resetAll();
-
-    /**
-     * Emit this group (scalars, formulas, distributions, children) as
-     * one JSON object value into @p w.
+     * Emit this group (scalars, distributions, children) as one JSON
+     * object value into @p w.
      */
     void jsonDump(sim::JsonWriter &w) const;
-
-    /** The whole tree as a standalone JSON document. */
-    std::string jsonString() const;
 
   private:
     /** Panic unless @p stat_name is unused by every stat kind. */
@@ -230,7 +183,6 @@ class Group
     std::string _name;
     std::map<std::string, Scalar> _scalars;
     std::map<std::string, Distribution> _distributions;
-    std::map<std::string, Formula> _formulas;
     std::vector<Group *> _children;
 };
 

@@ -38,14 +38,6 @@ TEST(Energy, TotalIsSumOfComponents)
     EXPECT_DOUBLE_EQ(acct.totalPj(), sum);
 }
 
-TEST(Energy, ResetZeroes)
-{
-    Accountant acct;
-    acct.addEvents(Component::L3, 7.0);
-    acct.reset();
-    EXPECT_DOUBLE_EQ(acct.totalPj(), 0.0);
-}
-
 TEST(Energy, CostOrderingMatchesTechnology)
 {
     // The normalized results rest on these ratios: DRAM >> L3 > L2 >

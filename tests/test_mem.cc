@@ -102,19 +102,6 @@ TEST(Cache, DirtyEvictionWritesBack)
     EXPECT_EQ(cache.writebacks(), 1.0);
 }
 
-TEST(Cache, FlushWritesDirtyAndInvalidates)
-{
-    energy::Accountant acct;
-    FakeDownstream down;
-    mem::Cache cache(smallCache(), &acct, down.fn());
-    cache.access(0x0, 8, true, 0);
-    down.calls.clear();
-    cache.flush(1000);
-    EXPECT_EQ(down.calls.size(), 1u);
-    EXPECT_TRUE(down.calls[0].second);
-    EXPECT_FALSE(cache.contains(0x0));
-}
-
 TEST(Cache, MshrsQueueConcurrentMisses)
 {
     energy::Accountant acct;

@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the mesh NoC: XY routing properties over every node
  * pair, latency/serialization behaviour, traffic-class byte
- * conservation, multicast link sharing and the energy charge per
- * flit-hop.
+ * conservation and the energy charge per flit-hop.
  */
 
 #include <gtest/gtest.h>
@@ -102,36 +101,6 @@ TEST(Mesh, ContentionDelaysBackToBackTransfers)
     const auto second = mesh.transfer(0, 3, 512,
                                       noc::TrafficClass::Data, 0);
     EXPECT_GT(second.latency, first.latency);
-}
-
-TEST(Mesh, ResetClearsCountersAndBusyState)
-{
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
-    mesh.transfer(0, 3, 512, noc::TrafficClass::Data, 0);
-    mesh.reset();
-    EXPECT_DOUBLE_EQ(mesh.totalBytes(), 0.0);
-    const auto again = mesh.transfer(0, 3, 512,
-                                     noc::TrafficClass::Data, 0);
-    const auto fresh_mesh_latency =
-        makeMesh(&acct).transfer(0, 3, 512, noc::TrafficClass::Data, 0)
-            .latency;
-    EXPECT_EQ(again.latency, fresh_mesh_latency);
-}
-
-TEST(Mesh, MulticastChargesSharedLinksOnce)
-{
-    energy::Accountant acct1, acct2;
-    auto m1 = makeMesh(&acct1);
-    auto m2 = makeMesh(&acct2);
-    // Destinations along one path share every link.
-    m1.multicast(0, {1, 2, 3}, 8, noc::TrafficClass::AccData, 0);
-    // Equivalent unicasts traverse 1+2+3 = 6 hops.
-    m2.transfer(0, 1, 8, noc::TrafficClass::AccData, 0);
-    m2.transfer(0, 2, 8, noc::TrafficClass::AccData, 0);
-    m2.transfer(0, 3, 8, noc::TrafficClass::AccData, 0);
-    EXPECT_LT(acct1.componentPj(energy::Component::Noc),
-              acct2.componentPj(energy::Component::Noc));
 }
 
 TEST(Mesh, BadNodePanics)

@@ -6,9 +6,8 @@
  * ignores), per-request failure isolation (malformed JSON, unknown
  * workloads, oversized lines, client disconnects — the daemon
  * outlives them all), admission control, drain with idle connections,
- * plan-cache sharing across concurrent clients, the
- * disable-flushes-entries semantics, the capacity/eviction boundary,
- * and a TSan-facing concurrent getOrCompile stress.
+ * plan-cache sharing across concurrent clients, the capacity/eviction
+ * boundary, and a TSan-facing concurrent getOrCompile stress.
  */
 
 #include <gtest/gtest.h>
@@ -200,6 +199,9 @@ TEST(ServeProtocol, SchemaViolationsAreNamedErrors)
          "unknown request member 'frobnicate'"},
         {R"({"workload":"fdt","config":{"model":"Dist-DA-IO","x":1}})",
          "unknown config member 'x'"},
+        {R"({"workload":"fdt",)"
+         R"("config":{"model":"Dist-DA-IO","plan_cache":false}})",
+         "unknown config member 'plan_cache'"},
         {R"({"id":-1,"workload":"fdt","config":"Dist-DA-IO"})",
          "non-negative integer"},
     };
@@ -453,36 +455,6 @@ TEST(ServeServer, ConcurrentClientsShareTheCachedPlan)
 // ---------------------------------------------------------------------
 // PlanCache semantics the service depends on
 // ---------------------------------------------------------------------
-
-TEST(ServePlanCache, DisableFlushesEntriesAndReenableRecompiles)
-{
-    KernelSet set = allKernels();
-    ASSERT_FALSE(set.kernels.empty());
-    const compiler::Kernel &k = *set.kernels.front();
-    const compiler::CompileOptions opts;
-
-    PlanCache cache;
-    EXPECT_FALSE(cache.getOrCompile(k, opts).hit);
-    EXPECT_TRUE(cache.getOrCompile(k, opts).hit);
-    EXPECT_EQ(cache.stats().entries, 1u);
-
-    // Disabling a long-lived service's cache must release plan memory
-    // immediately, not strand it until re-enable.
-    cache.setEnabled(false);
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_FALSE(cache.getOrCompile(k, opts).hit);
-    EXPECT_EQ(cache.stats().entries, 0u); // disabled: no inserts
-
-    // Counters survive the flush; only clear() resets them.
-    EXPECT_GE(cache.stats().misses, 2u);
-    EXPECT_GE(cache.stats().hits, 1u);
-
-    // Re-enable starts cold: first lookup recompiles, second hits.
-    cache.setEnabled(true);
-    EXPECT_FALSE(cache.getOrCompile(k, opts).hit);
-    EXPECT_TRUE(cache.getOrCompile(k, opts).hit);
-    EXPECT_EQ(cache.stats().entries, 1u);
-}
 
 TEST(ServePlanCache, CapacityBoundEvictsOldestAndCountsEvictions)
 {

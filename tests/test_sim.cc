@@ -1,13 +1,12 @@
 /**
  * @file
- * Unit tests for the simulation substrate: event queue ordering, clock
- * domains, deterministic RNG and the stats framework.
+ * Unit tests for the simulation substrate: clock domains, deterministic
+ * RNG, the stats framework and JSON.
  */
 
 #include <gtest/gtest.h>
 
 #include "death_helpers.hh"
-#include "src/sim/event_queue.hh"
 #include "src/sim/json.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/stats.hh"
@@ -17,99 +16,6 @@
 
 using namespace distda;
 using sim::Tick;
-
-TEST(EventQueue, RunsInTickOrder)
-{
-    sim::EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(30, [&order] { order.push_back(3); });
-    eq.schedule(10, [&order] { order.push_back(1); });
-    eq.schedule(20, [&order] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.curTick(), 30u);
-}
-
-TEST(EventQueue, EqualTicksFifo)
-{
-    sim::EventQueue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 16; ++i)
-        eq.schedule(100, [&order, i] { order.push_back(i); });
-    eq.run();
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueue, SameTickFifoSurvivesHeapChurnAndMidDrainInserts)
-{
-    // Pin the (tick, insertion-order) contract hard: interleave the
-    // insertion of 32 events across two ticks (so heap pushes and pops
-    // churn the underlying container), and have one tick-10 event
-    // append a same-tick follow-up mid-drain. FIFO requires each
-    // tick's events in insertion order, with the follow-up last at
-    // its tick because it was inserted last.
-    sim::EventQueue eq;
-    std::vector<std::pair<Tick, int>> order;
-    for (int i = 0; i < 16; ++i) {
-        eq.schedule(20, [&order, i] { order.push_back({20, i}); });
-        eq.schedule(10, [&order, i] { order.push_back({10, i}); });
-    }
-    eq.schedule(10, [&] {
-        eq.scheduleIn(0, [&order] { order.push_back({10, 99}); });
-    });
-    eq.run();
-    ASSERT_EQ(order.size(), 33u);
-    for (int i = 0; i < 16; ++i) {
-        EXPECT_EQ(order[static_cast<std::size_t>(i)],
-                  (std::pair<Tick, int>{10, i}));
-        EXPECT_EQ(order[static_cast<std::size_t>(17 + i)],
-                  (std::pair<Tick, int>{20, i}));
-    }
-    EXPECT_EQ(order[16], (std::pair<Tick, int>{10, 99}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    sim::EventQueue eq;
-    int fired = 0;
-    eq.schedule(5, [&] {
-        ++fired;
-        eq.scheduleIn(5, [&] { ++fired; });
-    });
-    eq.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.curTick(), 10u);
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    sim::EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.runUntil(15);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.curTick(), 15u);
-    EXPECT_EQ(eq.pending(), 1u);
-}
-
-TEST(EventQueue, SchedulingInPastPanics)
-{
-    sim::EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.run();
-    EXPECT_DEATH(eq.schedule(5, [] {}), "past");
-}
-
-TEST(EventQueue, ResetClearsState)
-{
-    sim::EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.reset();
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.curTick(), 0u);
-}
 
 class ClockDomainFreq : public testing::TestWithParam<double>
 {
@@ -184,30 +90,6 @@ TEST(Stats, ScalarAccumulates)
     s += 2.5;
     ++s;
     EXPECT_DOUBLE_EQ(g.get("counter").value(), 3.5);
-    g.resetAll();
-    EXPECT_DOUBLE_EQ(g.get("counter").value(), 0.0);
-}
-
-TEST(Stats, ChildLookupByPath)
-{
-    stats::Group parent("sys");
-    stats::Group child("cache");
-    child.add("hits") = 7.0;
-    parent.addChild(&child);
-    EXPECT_DOUBLE_EQ(parent.value("cache.hits"), 7.0);
-}
-
-TEST(Stats, DumpFlattensNames)
-{
-    stats::Group parent("sys");
-    stats::Group child("noc");
-    parent.add("time") = 1.0;
-    child.add("bytes") = 2.0;
-    parent.addChild(&child);
-    const auto dump = parent.dump();
-    ASSERT_EQ(dump.size(), 2u);
-    EXPECT_EQ(dump[0].first, "sys.time");
-    EXPECT_EQ(dump[1].first, "sys.noc.bytes");
 }
 
 TEST(Stats, MissingStatPanics)
@@ -248,25 +130,6 @@ TEST(Stats, DistributionOutOfRangeAndWeights)
     EXPECT_DOUBLE_EQ(d.bucketCount(1), 3.0);
     EXPECT_DOUBLE_EQ(d.min(), -1.0);
     EXPECT_DOUBLE_EQ(d.max(), 100.0);
-    d.reset();
-    EXPECT_DOUBLE_EQ(d.count(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.bucketCount(1), 0.0);
-}
-
-TEST(Stats, FormulaEvaluatesOnDemand)
-{
-    stats::Group g("eng");
-    stats::Scalar &insts = g.add("insts");
-    stats::Scalar &cycles = g.add("cycles");
-    g.addFormula("ipc", [&insts, &cycles] {
-        return cycles.value() > 0.0 ? insts.value() / cycles.value()
-                                    : 0.0;
-    });
-    EXPECT_DOUBLE_EQ(g.value("ipc"), 0.0);
-    insts = 30.0;
-    cycles = 10.0;
-    EXPECT_DOUBLE_EQ(g.value("ipc"), 3.0);
 }
 
 TEST(Stats, DuplicateNamesPanic)
@@ -276,40 +139,54 @@ TEST(Stats, DuplicateNamesPanic)
     EXPECT_PANIC(g.add("x"), "duplicate stat");
     g.addDistribution("d");
     EXPECT_PANIC(g.addDistribution("d"), "duplicate stat");
-    EXPECT_PANIC(g.addFormula("x", [] { return 0.0; }),
-                 "duplicate stat");
+    EXPECT_PANIC(g.addDistribution("x"), "duplicate stat");
     stats::Group c1("child");
     stats::Group c2("child");
     g.addChild(&c1);
     EXPECT_PANIC(g.addChild(&c2), "duplicate child");
 }
 
-TEST(Stats, ValueMissingPathPanics)
+namespace
 {
-    stats::Group parent("sys");
-    stats::Group child("noc");
-    child.add("bytes") = 7.0;
-    parent.addChild(&child);
-    EXPECT_DOUBLE_EQ(parent.value("noc.bytes"), 7.0);
-    EXPECT_PANIC((void)parent.value("mem.bytes"), "has no child");
-    EXPECT_PANIC((void)parent.value("noc.nope"), "not found");
+
+/** @p g as the JSON text a run report embeds. */
+std::string
+groupJson(const stats::Group &g)
+{
+    sim::JsonWriter w;
+    g.jsonDump(w);
+    return w.str();
 }
+
+} // namespace
 
 TEST(Stats, JsonDumpRoundTrips)
 {
     stats::Group g("run");
+    stats::Group noc("noc");
+    stats::Group link("link");
     g.add("ticks") = 42.0;
-    g.addFormula("twice", [] { return 84.0; });
     stats::Distribution &d = g.addDistribution("lat", 0.0, 8.0, 2);
     d.sample(1.0);
     d.sample(5.0);
-    const std::string text = g.jsonString();
+    noc.add("bytes") = 7.0;
+    link.add("flits") = 3.0;
+    noc.addChild(&link);
+    g.addChild(&noc);
+    const std::string text = groupJson(g);
     EXPECT_NE(text.find("\"ticks\":42"), std::string::npos);
-    EXPECT_NE(text.find("\"twice\":84"), std::string::npos);
     EXPECT_NE(text.find("\"type\":\"distribution\""),
               std::string::npos);
     EXPECT_NE(text.find("\"count\":2"), std::string::npos);
     EXPECT_NE(text.find("\"mean\":3"), std::string::npos);
+
+    // Children nest under their own names, grandchildren included.
+    const sim::JsonValue doc = sim::parseJson(text, "stats");
+    EXPECT_DOUBLE_EQ(doc.at("ticks").num, 42.0);
+    EXPECT_DOUBLE_EQ(doc.at("noc").at("bytes").num, 7.0);
+    EXPECT_DOUBLE_EQ(doc.at("noc").at("link").at("flits").num, 3.0);
+    EXPECT_EQ(doc.find("bytes"), nullptr);
+    EXPECT_EQ(doc.at("noc").find("flits"), nullptr);
 }
 
 TEST(P2Quantile, ExactForSmallSamples)
@@ -350,18 +227,6 @@ TEST(P2Quantile, TracksLargeStreams)
     EXPECT_NEAR(p99.value(), 0.99 * n, 0.03 * n);
 }
 
-TEST(P2Quantile, ResetClearsState)
-{
-    stats::P2Quantile q(0.9);
-    for (int i = 0; i < 100; ++i)
-        q.add(i);
-    q.reset();
-    EXPECT_EQ(q.samples(), 0u);
-    EXPECT_DOUBLE_EQ(q.value(), 0.0);
-    q.add(7.0);
-    EXPECT_DOUBLE_EQ(q.value(), 7.0);
-}
-
 TEST(Stats, DistributionQuantilesAreOrderedAndDumped)
 {
     stats::Distribution d(0.0, 1000.0, 10);
@@ -375,7 +240,7 @@ TEST(Stats, DistributionQuantilesAreOrderedAndDumped)
 
     stats::Group g("t");
     g.addDistribution("lat", 0.0, 1000.0, 10) = d;
-    const std::string text = g.jsonString();
+    const std::string text = groupJson(g);
     EXPECT_NE(text.find("\"p50\":"), std::string::npos);
     EXPECT_NE(text.find("\"p95\":"), std::string::npos);
     EXPECT_NE(text.find("\"p99\":"), std::string::npos);

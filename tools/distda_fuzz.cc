@@ -7,8 +7,7 @@
  * Usage:
  *   distda_fuzz [--seed=<n>] [--runs=<k>] [--jobs=<n>]
  *               [--shape=parallel|pipeline|nonpart|multi|cross|mixed]
- *               [--out=<dir>] [--no-shrink] [--no-cgra] [--no-mono]
- *               [--no-analyze] [--no-replan] [--quiet]
+ *               [--out=<dir>] [--no-shrink] [--quiet]
  *   distda_fuzz --replay=<file.repro>
  *   distda_fuzz --corpus=<dir>
  *
@@ -83,14 +82,6 @@ main(int argc, char **argv)
             opts.outDir = arg.substr(6);
         } else if (arg == "--no-shrink") {
             opts.shrink = false;
-        } else if (arg == "--no-cgra") {
-            opts.diff.cgra = false;
-        } else if (arg == "--no-mono") {
-            opts.diff.mono = false;
-        } else if (arg == "--no-analyze") {
-            opts.diff.analyze = false;
-        } else if (arg == "--no-replan") {
-            opts.diff.planRoundTrip = false;
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg.rfind("--replay=", 0) == 0) {
@@ -109,8 +100,7 @@ main(int argc, char **argv)
 
     if (!replay.empty()) {
         const fuzz::FuzzCase c = fuzz::loadCase(replay);
-        const fuzz::DiffOutcome outcome =
-            fuzz::runDifferential(c, opts.diff);
+        const fuzz::DiffOutcome outcome = fuzz::runDifferential(c);
         std::printf("%s: %s\n", replay.c_str(),
                     outcome.summary().c_str());
         return outcome.ok() ? 0 : 1;
@@ -123,8 +113,7 @@ main(int argc, char **argv)
                         corpus.c_str());
             return 0;
         }
-        const int failed =
-            fuzz::replayCorpus(files, opts.diff, !quiet);
+        const int failed = fuzz::replayCorpus(files, !quiet);
         std::printf("corpus '%s': %zu file(s), %d failure(s)\n",
                     corpus.c_str(), files.size(), failed);
         return failed ? 1 : 0;

@@ -15,7 +15,7 @@
  *              [--breakdown[=text|json|off]]
  *              [--timeline=<file>] [--stats-json=<file>]
  *              [--stats-interval=<ticks>] [--report-dir=<dir>]
- *              [--plan-dir=<dir>] [--plan-cache[=on|off]]
+ *              [--plan-dir=<dir>]
  *
  * --jobs=<n> runs the sweep's independent simulations on n worker
  * threads (default: DISTDA_JOBS, else hardware_concurrency). Results
@@ -61,9 +61,8 @@
  * each kernel's serialized plan artifact from the directory when a
  * matching one exists (same kernel and compile options, checked by
  * fingerprint) and dumps freshly compiled plans into it otherwise, so
- * a second run skips compilation entirely. --plan-cache=off disables
- * the in-process plan cache (every context compiles fresh); it is on
- * by default. Use tools/distda_plan to inspect artifacts.
+ * a second run skips compilation entirely. Use tools/distda_plan to
+ * inspect artifacts.
  *
  * Examples:
  *   distda_run --workload=fdt --config=Dist-DA-F
@@ -308,10 +307,6 @@ main(int argc, char **argv)
             sweep_opts.reportDir = arg.substr(13);
         } else if (arg.rfind("--plan-dir=", 0) == 0) {
             cfg.planDir = arg.substr(11);
-        } else if (arg == "--plan-cache" || arg == "--plan-cache=on") {
-            cfg.planCache = true;
-        } else if (arg == "--plan-cache=off") {
-            cfg.planCache = false;
         } else {
             fatal("unknown flag '%s'", arg.c_str());
         }
