@@ -5,7 +5,9 @@
 #      config, with the --verify-json reports validated by python3
 #   3. full test suite
 #   4. parallel-sweep determinism smoke (--jobs=1 vs --jobs=N CSV)
-#      plus byte-identity against the committed golden CSV
+#      plus byte-identity against the committed golden CSV, and the
+#      prefetch, allocation and buffer/channel-override variants
+#      against their golden
 #   5. breakdown/report-diff smoke: golden CSV byte-identical with
 #      --breakdown on, breakdown JSON validated (conservation, ordered
 #      quantiles), and distda_stats diff of two identical runs is
@@ -81,6 +83,16 @@ echo "===== parallel sweep determinism (--jobs=1 vs --jobs=$JOBS)"
     --jobs="$JOBS" >"$BUILD/sweep-parallel.csv" 2>/dev/null
 cmp "$BUILD/sweep-serial.csv" "$BUILD/sweep-parallel.csv"
 cmp tests/golden/quick_sweep.csv "$BUILD/sweep-serial.csv"
+{
+    "$BUILD"/tools/distda_run --workload=all --quick --csv \
+        --config=Dist-DA-IO+SW --jobs="$JOBS"
+    "$BUILD"/tools/distda_run --workload=all --quick --csv \
+        --config=Dist-DA-F+A --jobs="$JOBS" | tail -n +2
+    "$BUILD"/tools/distda_run --workload=all --quick --csv \
+        --config=Dist-DA-F --buffer=1024 --channel=4 --jobs="$JOBS" |
+        tail -n +2
+} >"$BUILD/sweep-variants.csv" 2>/dev/null
+cmp tests/golden/quick_variants.csv "$BUILD/sweep-variants.csv"
 
 echo "===== observability smoke (--timeline / --stats-json)"
 "$BUILD"/tools/distda_run --workload=pr --config=Dist-DA-F --quick \

@@ -19,7 +19,6 @@
 #include "src/compiler/plan.hh"
 #include "src/compiler/plan_io.hh"
 #include "src/sim/logging.hh"
-#include "src/verify/verify.hh"
 
 namespace distda::compiler
 {
@@ -54,17 +53,6 @@ mechanismName(Mechanism m)
       case Mechanism::CpSetRf: return "cp_set_rf";
       case Mechanism::CpLoadRf: return "cp_load_rf";
       case Mechanism::CpRun: return "cp_run";
-      default: return "?";
-    }
-}
-
-const char *
-verifyModeName(VerifyMode m)
-{
-    switch (m) {
-      case VerifyMode::Off: return "off";
-      case VerifyMode::Warn: return "warn";
-      case VerifyMode::Error: return "error";
       default: return "?";
     }
 }
@@ -346,7 +334,6 @@ compileKernel(const Kernel &kernel, const CompileOptions &opts)
         } else {
             part.level = PlacementLevel::Llc;
         }
-        part.swPrefetch = opts.swPrefetch;
     }
 
     // --- Access specialization with multi-access combining. ---
@@ -678,13 +665,6 @@ compileKernel(const Kernel &kernel, const CompileOptions &opts)
         ch.dfgLevels = max_level + 1;
         for (const auto &[lvl, w] : width)
             ch.dfgWidth = std::max(ch.dfgWidth, w);
-    }
-
-    if (opts.verifyPlans != VerifyMode::Off) {
-        const verify::Report report =
-            verify::verifyPlan(plan, verify::optionsFor(opts));
-        verify::enforce(report, opts.verifyPlans,
-                        "kernel '" + kernel.name + "'");
     }
 
     return plan;

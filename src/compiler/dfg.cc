@@ -239,6 +239,18 @@ Kernel::verify() const
     (void)topoOrder();
 }
 
+std::string
+Kernel::defect() const
+{
+    ScopedFailureCapture capture;
+    try {
+        verify();
+    } catch (const SimFailure &f) {
+        return f.what();
+    }
+    return {};
+}
+
 KernelBuilder::KernelBuilder(std::string kernel_name)
 {
     _kernel.name = std::move(kernel_name);

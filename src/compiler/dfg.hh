@@ -193,6 +193,9 @@ struct Kernel
 
     /** Consistency checks; panics on malformed graphs. */
     void verify() const;
+
+    /** verify()'s message when the graph is malformed, else "". */
+    std::string defect() const;
 };
 
 /** A value handle returned by KernelBuilder operations. */

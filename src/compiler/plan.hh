@@ -101,7 +101,6 @@ struct Partition
     PlacementLevel level = PlacementLevel::Llc;
     MicroProgram program;
     int streamBuffers = 0;           ///< Table VI #buf
-    bool swPrefetch = false;         ///< +SW optimization flag
 };
 
 /** Table V mechanism-coverage bits. */
@@ -131,17 +130,12 @@ struct OffloadCharacteristics
     double commBytesPerIter = 0.0; ///< partition cut cost
 };
 
-/** What to do with static-verification findings after codegen. */
-enum class VerifyMode : std::uint8_t
-{
-    Off,   ///< skip verification entirely
-    Warn,  ///< report all findings via warn(), never stop
-    Error, ///< report findings; panic when any error is found
-};
-
-const char *verifyModeName(VerifyMode m);
-
-/** Options steering compilation. */
+/**
+ * Options steering compilation. They travel with the plan as its
+ * offload descriptor (cp_config / cp_config_stream, Table II): the
+ * engine and the verifier read the access-unit and channel parameters
+ * from OffloadPlan::options and nowhere else.
+ */
 struct CompileOptions
 {
     bool partition = true;        ///< false: monolithic (Mono-*)
@@ -149,8 +143,6 @@ struct CompileOptions
     bool enableCombining = true;  ///< Fig 2d multi-access combining
     std::uint32_t bufferBytes = 4096; ///< access-unit buffer capacity
     int channelCapacity = 64;     ///< decoupling depth in elements
-    /** Post-codegen static verification (src/verify) disposition. */
-    VerifyMode verifyPlans = VerifyMode::Error;
 };
 
 /** The complete compiled offload. */
@@ -163,9 +155,8 @@ struct OffloadPlan
     MechanismSet mechanisms{};
     OffloadCharacteristics characteristics;
 
-    /** The options this plan was compiled under (round-trips with the
-     * artifact, so analyses can verify a deserialized plan against the
-     * engine parameters it was actually built for). */
+    /** The options this plan was compiled under; round-trips with the
+     * artifact and is the only source of the engine parameters. */
     CompileOptions options;
     /**
      * Stable content fingerprint over (canonicalized kernel, options):

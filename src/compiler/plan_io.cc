@@ -10,7 +10,6 @@
 #include <fstream>
 
 #include "src/sim/logging.hh"
-#include "src/verify/verify.hh"
 
 namespace distda::compiler
 {
@@ -347,18 +346,6 @@ dfgClassFromName(const std::string &s)
     fatal("plan text: unknown DFG class '%s'", s.c_str());
 }
 
-VerifyMode
-verifyModeFromName(const std::string &s)
-{
-    const VerifyMode all[] = {VerifyMode::Off, VerifyMode::Warn,
-                              VerifyMode::Error};
-    for (VerifyMode m : all) {
-        if (s == verifyModeName(m))
-            return m;
-    }
-    fatal("plan text: unknown verify mode '%s'", s.c_str());
-}
-
 /** %.17g: shortest text that always round-trips binary64 exactly. */
 std::string
 fmtDouble(double v)
@@ -383,8 +370,7 @@ writeOptionsLine(std::ostream &out, const CompileOptions &opts)
     out << "options " << (opts.partition ? 1 : 0) << ' '
         << (opts.swPrefetch ? 1 : 0) << ' '
         << (opts.enableCombining ? 1 : 0) << ' ' << opts.bufferBytes
-        << ' ' << opts.channelCapacity << ' '
-        << verifyModeName(opts.verifyPlans) << '\n';
+        << ' ' << opts.channelCapacity << '\n';
 }
 
 void
@@ -441,7 +427,7 @@ writePartitionLines(std::ostream &out, const Partition &p)
 {
     out << "partition " << p.id << ' ' << p.objId << ' '
         << placementName(p.level) << ' ' << p.streamBuffers << ' '
-        << (p.swPrefetch ? 1 : 0) << ' ' << p.nodes.size();
+        << p.nodes.size();
     for (int n : p.nodes)
         out << ' ' << n;
     out << '\n';
@@ -588,8 +574,6 @@ parsePlan(const std::string &text)
                 readU64(in, "bufferBytes"));
             plan.options.channelCapacity =
                 static_cast<int>(readI64(in, "channelCapacity"));
-            plan.options.verifyPlans =
-                verifyModeFromName(readName(in, "verifyPlans"));
         } else if (tok == "dep") {
             plan.dep.cls = dfgClassFromName(readName(in, "dep class"));
             plan.dep.hasCarry = readI64(in, "hasCarry") != 0;
@@ -626,8 +610,6 @@ parsePlan(const std::string &text)
                 placementFromName(readName(in, "partition level"));
             pending.streamBuffers =
                 static_cast<int>(readI64(in, "streamBuffers"));
-            pending.swPrefetch =
-                readI64(in, "partition swPrefetch") != 0;
             const std::uint64_t nn = readU64(in, "partition node count");
             if (nn > 100000)
                 fatal("plan artifact: absurd partition node count");
@@ -735,30 +717,10 @@ parsePlan(const std::string &text)
     return plan;
 }
 
-namespace
-{
-
-std::string
-checkKernel(const Kernel &k)
-{
-    std::string err;
-    {
-        ScopedFailureCapture capture;
-        try {
-            k.verify();
-        } catch (const SimFailure &f) {
-            err = f.what();
-        }
-    }
-    return err;
-}
-
-} // namespace
-
 std::string
 validatePlanArtifact(const OffloadPlan &plan)
 {
-    const std::string kerr = checkKernel(plan.kernel);
+    const std::string kerr = plan.kernel.defect();
     if (!kerr.empty())
         return strfmt("kernel malformed: %s", kerr.c_str());
     const std::string fp =
@@ -766,12 +728,6 @@ validatePlanArtifact(const OffloadPlan &plan)
     if (plan.fingerprint != fp) {
         return strfmt("fingerprint mismatch: recorded %s, content %s",
                       plan.fingerprint.c_str(), fp.c_str());
-    }
-    const verify::Report report =
-        verify::verifyPlan(plan, verify::optionsFor(plan.options));
-    for (const verify::Diag &d : report.diags()) {
-        if (d.severity == verify::Severity::Error)
-            return d.str();
     }
     return {};
 }

@@ -32,7 +32,7 @@ namespace distda::compiler
 {
 
 /** First line of every plan artifact; bump on format changes. */
-constexpr const char *planMagic = "distda-plan v1";
+constexpr const char *planMagic = "distda-plan v2";
 
 /**
  * Stable content fingerprint of (canonicalized kernel, options):
@@ -51,13 +51,12 @@ std::string serializePlan(const OffloadPlan &plan);
 OffloadPlan parsePlan(const std::string &text);
 
 /**
- * Validation of a (possibly deserialized) plan: kernel
+ * Identity check of a (possibly deserialized) plan: kernel
  * well-formedness and that the recorded fingerprint matches the
- * recomputed one, then every verify::passes() check (partition,
- * channel, accessor and microcode cross references, characteristics
- * consistency, liveness) under the plan's own compile options.
- * Returns an empty string when the plan is sound, else a one-line
- * description of the first defect found.
+ * recomputed one. Returns an empty string when both hold, else a
+ * one-line description of the defect. The plan's contents are checked
+ * by verify::verifyPlan, which ExecContext runs on every plan it
+ * acquires.
  */
 std::string validatePlanArtifact(const OffloadPlan &plan);
 

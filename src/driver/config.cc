@@ -109,7 +109,6 @@ RunConfig::compileOptions() const
         opts.bufferBytes = bufferBytesOverride;
     if (channelCapacityOverride)
         opts.channelCapacity = channelCapacityOverride;
-    opts.verifyPlans = verifyPlans;
     return opts;
 }
 
@@ -124,7 +123,6 @@ RunConfig::engineConfig() const
         ghz = cgra() ? 1.0 : 2.0;
     cfg.accelClockHz = static_cast<std::uint64_t>(ghz * 1e9);
     cfg.issueWidth = (model == ArchModel::DistDA_IO_SW) ? 4 : 1;
-    cfg.swPrefetch = (model == ArchModel::DistDA_IO_SW);
     cfg.centralizedAccess = (model == ArchModel::MonoCA);
     cfg.distributedCompute = distributed();
     if (model == ArchModel::MonoCA) {
@@ -141,17 +139,13 @@ RunConfig::engineConfig() const
                      : cgra::CgraParams{};
     cfg.retainBuffers = !disableRetention;
     cfg.predecode = predecode;
-    if (bufferBytesOverride)
-        cfg.clusterBufferBytes = bufferBytesOverride;
-    if (channelCapacityOverride)
-        cfg.channelCapacity = channelCapacityOverride;
     return cfg;
 }
 
 verify::Options
 RunConfig::verifyOptions() const
 {
-    verify::Options opts = verify::optionsFor(compileOptions());
+    verify::Options opts;
     if (cgra())
         opts.fabric = engineConfig().fabric;
     return opts;

@@ -92,9 +92,6 @@ struct RunConfig
     std::uint32_t bufferBytesOverride = 0; ///< per-cluster SRAM (0=4KB)
     int channelCapacityOverride = 0;       ///< decoupling depth (0=64)
 
-    /** Static verification of compiled plans (src/verify). */
-    compiler::VerifyMode verifyPlans = compiler::VerifyMode::Error;
-
     /**
      * Record per-kernel invocation profiles (src/verify/analysis.hh)
      * for ExecContext::analyzeAll() to verify against. Off by
@@ -141,15 +138,20 @@ struct RunConfig
     }
     bool allocAffinity() const { return model == ArchModel::DistDA_F_A; }
 
-    /** Compiler options implied by the model. */
+    /**
+     * Compiler options implied by the model. They include every
+     * access-unit and channel parameter; the engine reads them from
+     * the plan compiled under them.
+     */
     compiler::CompileOptions compileOptions() const;
 
     /** Engine configuration implied by the model. */
     engine::EngineConfig engineConfig() const;
 
     /**
-     * Static-verification parameters implied by the model: the
-     * compile options' depths, plus the fabric on CGRA models.
+     * Static-verification parameters implied by the model: the fabric
+     * on CGRA models. ExecContext verifies every plan it acquires
+     * under these.
      */
     verify::Options verifyOptions() const;
 };

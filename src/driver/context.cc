@@ -27,11 +27,13 @@ ExecContext::acquirePlan(const compiler::Kernel &kernel)
     const std::string fp = compiler::planFingerprint(kernel, opts);
     std::shared_ptr<const compiler::OffloadPlan> plan;
     std::string artifact;
+    bool loaded_artifact = false;
 
     if (!_config.planDir.empty()) {
         artifact = _config.planDir + "/" +
                    compiler::planArtifactFile(kernel.name, fp);
-        if (std::ifstream(artifact).good()) {
+        loaded_artifact = std::ifstream(artifact).good();
+        if (loaded_artifact) {
             auto loaded = std::make_shared<compiler::OffloadPlan>(
                 compiler::loadPlan(artifact));
             if (loaded->fingerprint != fp) {
@@ -86,6 +88,17 @@ ExecContext::acquirePlan(const compiler::Kernel &kernel)
         }
         plan = std::move(reparsed);
     }
+
+    // The one verification of every acquired plan, whatever its
+    // source, under the engine parameters it carries and this run's
+    // substrate.
+    const verify::Report report =
+        verify::verifyPlan(*plan, _config.verifyOptions());
+    if (loaded_artifact && !report.ok()) {
+        fatal("plan artifact %s: %s", artifact.c_str(),
+              report.firstError().c_str());
+    }
+    verify::enforce(report, "kernel '" + kernel.name + "'");
     return plan;
 }
 
@@ -276,21 +289,6 @@ ExecContext::analyzeAll() const
     for (const auto &[name, ck] : _kernels) {
         verify::Options vo = _config.verifyOptions();
         vo.profile = &ck.profile;
-        if (ck.runtime) {
-            // The engine's instantiated topology is authoritative for
-            // per-channel FIFO depths.
-            for (const engine::DataflowEngine::ChannelEdge &e :
-                 ck.runtime->engine().channelTopology()) {
-                if (e.id < 0)
-                    continue;
-                if (static_cast<std::size_t>(e.id) >=
-                    vo.channelCapacities.size())
-                    vo.channelCapacities.resize(
-                        static_cast<std::size_t>(e.id) + 1, 0);
-                vo.channelCapacities[static_cast<std::size_t>(e.id)] =
-                    e.capacity;
-            }
-        }
         all.push_back(verify::verifyPlan(*ck.plan, vo));
     }
     return all;

@@ -92,10 +92,11 @@ class ExecContext
 
     /**
      * Run every verification pass over every kernel compiled so far,
-     * against the run's engine parameters and the invocation profiles
-     * recorded during the run (kernel-name order). Profiles are
-     * recorded when config().recordProfiles is set or a probe is
-     * attached; otherwise the analyses fall back to static-only facts.
+     * against each plan's engine parameters, the run's fabric and the
+     * invocation profiles recorded during the run (kernel-name
+     * order). Profiles are recorded when config().recordProfiles is
+     * set or a probe is attached; otherwise the analyses fall back to
+     * static-only facts.
      */
     std::vector<verify::Report> analyzeAll() const;
 
@@ -127,7 +128,10 @@ class ExecContext
      * The compile half of the compile→instantiate split: obtain an
      * immutable plan from a --plan-dir artifact or else the
      * process-wide PlanCache (which compiles on a miss), optionally
-     * round-tripping it through the text artifact format.
+     * round-tripping it through the text artifact format, then run
+     * verify::verifyPlan on it once under config().verifyOptions().
+     * An artifact with errors is fatal (naming the file); any other
+     * plan with errors panics ("static verification").
      */
     std::shared_ptr<const compiler::OffloadPlan> acquirePlan(
         const compiler::Kernel &kernel);

@@ -8,9 +8,6 @@
 namespace distda::driver
 {
 
-namespace
-{
-
 void
 breakdownJson(sim::JsonWriter &w, const Metrics &m)
 {
@@ -35,6 +32,9 @@ breakdownJson(sim::JsonWriter &w, const Metrics &m)
     }
     w.endArray();
 }
+
+namespace
+{
 
 void
 metricsJson(sim::JsonWriter &w, const Metrics &m)

@@ -19,11 +19,20 @@
 
 namespace distda::sim
 {
+class JsonWriter;
 class Probe;
 }
 
 namespace distda::driver
 {
+
+/**
+ * Write @p m's per-kernel offload-lifecycle rows (phases, end-to-end
+ * ticks and quantiles) as one JSON array: the run report's
+ * "offload_breakdown" and each run's "kernels" under
+ * `distda_run --breakdown=json`.
+ */
+void breakdownJson(sim::JsonWriter &w, const Metrics &m);
 
 /**
  * Serialize a run report as JSON text. @p probe may be null (report

@@ -106,12 +106,10 @@ verifyWorkload(const std::string &workload, const RunConfig &config,
 
     int errors = 0;
     for (const compiler::Kernel *kernel : wl->kernels()) {
-        // Compile with in-pipeline enforcement off: the point here is
-        // to surface every diagnostic, not to die on the first one.
-        compiler::CompileOptions co = config.compileOptions();
-        co.verifyPlans = compiler::VerifyMode::Off;
+        // Compile without enforcement: the point here is to surface
+        // every diagnostic, not to die on the first one.
         const compiler::OffloadPlan plan =
-            compiler::compileKernel(*kernel, co);
+            compiler::compileKernel(*kernel, config.compileOptions());
 
         const verify::Report report =
             verify::verifyPlan(plan, config.verifyOptions());

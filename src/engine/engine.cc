@@ -55,24 +55,6 @@ DataflowEngine::DataflowEngine(const OffloadPlan &plan,
     }
 }
 
-std::vector<DataflowEngine::ChannelEdge>
-DataflowEngine::channelTopology() const
-{
-    std::vector<ChannelEdge> edges;
-    edges.reserve(_plan.channels.size());
-    for (const compiler::ChannelDef &cd : _plan.channels) {
-        ChannelEdge e;
-        e.id = cd.id;
-        e.srcPartition = cd.srcPartition;
-        e.dstPartition = cd.dstPartition;
-        e.elemBytes = cd.bits / 8;
-        e.control = cd.control;
-        e.capacity = _config.channelCapacity;
-        edges.push_back(e);
-    }
-    return edges;
-}
-
 namespace
 {
 
@@ -221,7 +203,7 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
                 ? part_cluster[static_cast<std::size_t>(cd.dstPartition)]
                 : host_node;
         channels.push_back(std::make_unique<Channel>(
-            static_cast<std::size_t>(_config.channelCapacity),
+            static_cast<std::size_t>(_plan.options.channelCapacity),
             cd.bits / 8, cd.control, src, dst));
     }
 
@@ -294,7 +276,7 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
                 const int nbuf =
                     std::max(buffers_in_cluster[uc], 1);
                 sp.capacityBytes = std::max<std::uint32_t>(
-                    _config.clusterBufferBytes /
+                    _plan.options.bufferBytes /
                         static_cast<std::uint32_t>(nbuf),
                     256);
                 ar.stream = retainedStream(ad.node, sp, port_at(uc),
@@ -344,7 +326,7 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
         }
         ac.cluster = compute_cluster;
         ac.trip = trip;
-        ac.swPrefetch = _config.swPrefetch || part.swPrefetch;
+        ac.swPrefetch = _plan.options.swPrefetch;
         // Indirect accesses run ahead of the consumer when the index
         // is itself streamable (B[A[i]]); software prefetching widens
         // the window; pointer-chasing recurrences cannot run ahead.
@@ -436,7 +418,8 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
     if (_config.probe) {
         stats::Distribution &occ = _config.probe->addDist(
             "channel.max_occupancy", 0.0,
-            static_cast<double>(_config.channelCapacity) + 1.0, 16);
+            static_cast<double>(_plan.options.channelCapacity) + 1.0,
+            16);
         for (const auto &ch : channels)
             occ.sample(static_cast<double>(ch->maxOccupancy()));
     }

@@ -28,7 +28,12 @@
 namespace distda::engine
 {
 
-/** Architecture-model knobs for one engine run. */
+/**
+ * Architecture-model knobs for one engine run. Access-unit buffer
+ * bytes, channel depth and software prefetching are not here: they are
+ * part of the plan (OffloadPlan::options), the offload descriptor the
+ * engine is configured with.
+ */
 struct EngineConfig
 {
     ActorKind kind = ActorKind::InOrder;
@@ -40,7 +45,6 @@ struct EngineConfig
      * more per instruction than a minimal in-order core).
      */
     double instEnergyScale = 1.0;
-    bool swPrefetch = false;
     /** Mono-CA: all access units sit with the compute node. */
     bool centralizedAccess = false;
     /**
@@ -54,8 +58,6 @@ struct EngineConfig
     /** Mono-CA private cache size (0 = none). */
     std::uint32_t privateCacheBytes = 0;
     cgra::CgraParams fabric; ///< used when kind == Cgra
-    std::uint32_t clusterBufferBytes = 4096;
-    int channelCapacity = 64;
     /** Retain stream windows across invocations (§V-B reuse). */
     bool retainBuffers = true;
     /**
@@ -100,30 +102,6 @@ class DataflowEngine
 
     /** Accumulated Fig 9 access-distribution counters. */
     const accel::AccessStats &accessStats() const { return _stats; }
-
-    /** Per-partition CGRA mappings (empty for in-order substrates). */
-    const std::vector<cgra::CgraMapping> &mappings() const
-    {
-        return _mappings;
-    }
-
-    /** One channel edge as the engine instantiates it. */
-    struct ChannelEdge
-    {
-        int id = -1;
-        int srcPartition = -1;
-        int dstPartition = -1; ///< -1: host-consumed
-        int elemBytes = 0;
-        bool control = false;
-        int capacity = 0; ///< decoupling depth in elements
-    };
-
-    /**
-     * The actor/channel graph this engine executes, for external
-     * inspection (verification tooling, tests). Mirrors the plan's
-     * channel table with the engine's configured FIFO capacity.
-     */
-    std::vector<ChannelEdge> channelTopology() const;
 
   private:
     /**

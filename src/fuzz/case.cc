@@ -158,23 +158,6 @@ intTypeMax(std::uint32_t bytes)
     return bytes >= 8 ? ~0ULL >> 1 : (1ULL << (bytes * 8 - 1)) - 1;
 }
 
-std::string
-checkKernelStructure(const Kernel &k)
-{
-    std::string err;
-    bool threw = false;
-    {
-        ScopedFailureCapture capture;
-        try {
-            k.verify();
-        } catch (const SimFailure &f) {
-            err = f.what();
-            threw = true;
-        }
-    }
-    return threw ? err : std::string{};
-}
-
 } // namespace
 
 std::string
@@ -208,7 +191,7 @@ validateCase(const FuzzCase &c)
     }
     for (std::size_t ki = 0; ki < c.kernels.size(); ++ki) {
         const Kernel &k = c.kernels[ki];
-        const std::string err = checkKernelStructure(k);
+        const std::string err = k.defect();
         if (!err.empty())
             return strfmt("kernel %zu: %s", ki, err.c_str());
         for (std::size_t kj = 0; kj < ki; ++kj) {

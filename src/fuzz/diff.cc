@@ -263,8 +263,6 @@ crossCheckAnalysis(const FuzzCase &c,
     // Analyze under the configuration the Dist-DA-IO paths ran.
     RunConfig dist;
     dist.model = ArchModel::DistDA_IO;
-    compiler::CompileOptions co = dist.compileOptions();
-    co.verifyPlans = compiler::VerifyMode::Off;
 
     bool liveness_proven = true; // across every invoked kernel
     bool liveness_violated = false;
@@ -288,8 +286,8 @@ crossCheckAnalysis(const FuzzCase &c,
         try {
             ScopedFailureCapture capture;
             const compiler::OffloadPlan plan =
-                compiler::compileKernel(k, co);
-            verify::Options vo = verify::optionsFor(co);
+                compiler::compileKernel(k, dist.compileOptions());
+            verify::Options vo;
             vo.profile = &profiles[ki];
             facts = verify::verifyPlan(plan, vo);
         } catch (const SimFailure &f) {
@@ -489,7 +487,6 @@ runDifferential(const FuzzCase &c)
     auto mkcfg = [](ArchModel m, bool predecode = true) {
         RunConfig cfg;
         cfg.model = m;
-        cfg.verifyPlans = compiler::VerifyMode::Error;
         cfg.predecode = predecode;
         return cfg;
     };

@@ -53,8 +53,6 @@ class OffloadRuntime
         return _engine.accessStats();
     }
 
-    const engine::DataflowEngine &engine() const { return _engine; }
-
     double mmioOps() const { return _iface.mmioOps(); }
 
   private:

@@ -62,21 +62,17 @@ void
 checkChannels(const OffloadPlan &plan, const Options &opts,
               Report &report)
 {
+    (void)opts;
     const TokenGraph graph(plan);
+    const int cap = plan.options.channelCapacity;
     for (const ChannelDef &ch : plan.channels) {
         ChannelFact f;
         f.channel = ch.id;
         f.tokensPerIter = graph.tokensPerIter(ch.id);
-        f.configuredCapacity = opts.capacityOf(ch.id);
+        f.configuredCapacity = cap;
         f.minSafeCapacity =
             graph.balanced() ? graph.minSafeCapacity(ch.id) : -1;
         report.channels.push_back(f);
-    }
-    std::vector<int> caps(plan.channels.size());
-    int zero_capacity = 0;
-    for (std::size_t id = 0; id < caps.size(); ++id) {
-        caps[id] = opts.capacityOf(static_cast<int>(id));
-        zero_capacity += caps[id] <= 0;
     }
 
     if (plan.channels.empty()) {
@@ -84,11 +80,11 @@ checkChannels(const OffloadPlan &plan, const Options &opts,
         report.deadlockFree = Verdict::Proven;
         return;
     }
-    if (zero_capacity > 0) {
+    if (cap <= 0) {
         report.add(Severity::Error, passName, kernelLoc(plan),
-                   "%d channels with zero decoupling capacity: every "
+                   "%zu channels with zero decoupling capacity: every "
                    "produce blocks forever",
-                   zero_capacity);
+                   plan.channels.size());
         report.deadlockFree = Verdict::Violated;
         return; // the liveness model degenerates at capacity zero
     }
@@ -110,12 +106,12 @@ checkChannels(const OffloadPlan &plan, const Options &opts,
         return;
     }
     int channel = -1;
-    if (!graph.deadlocksWith(caps, &channel)) {
+    if (!graph.deadlocksWith(
+            std::vector<int>(plan.channels.size(), cap), &channel)) {
         report.deadlockFree = Verdict::Proven;
         return;
     }
     report.deadlockFree = Verdict::Violated;
-    const int cap = opts.capacityOf(channel);
     report.add(Severity::Error, passName, kernelLoc(plan),
                "channel-dependence cycle under capacity %d "
                "(capacity deadlock): channel %d needs capacity >= %d",

@@ -80,6 +80,16 @@ Report::hasErrorFrom(const std::string &pass) const
 }
 
 std::string
+Report::firstError() const
+{
+    for (const Diag &d : _diags) {
+        if (d.severity == Severity::Error)
+            return d.str();
+    }
+    return {};
+}
+
+std::string
 Report::str() const
 {
     std::string out;

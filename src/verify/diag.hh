@@ -134,6 +134,8 @@ class Report
     bool mentions(const std::string &needle) const;
     /** True when pass @p pass produced at least one error. */
     bool hasErrorFrom(const std::string &pass) const;
+    /** The first error, formatted by Diag::str(); "" when ok(). */
+    std::string firstError() const;
 
     /** All findings, one per line. */
     std::string str() const;

@@ -92,8 +92,7 @@ checkObjectConstraint(const OffloadPlan &plan, Report &report)
 }
 
 void
-checkAccessorPlacement(const OffloadPlan &plan, const Options &opts,
-                       Report &report)
+checkAccessorPlacement(const OffloadPlan &plan, Report &report)
 {
     const Kernel &kernel = plan.kernel;
     std::set<int> access_ids;
@@ -181,13 +180,13 @@ checkAccessorPlacement(const OffloadPlan &plan, const Options &opts,
                 static_cast<std::uint64_t>(std::llabs(ad.combineDistance)) *
                     ad.elemBytes +
                 mem::lineBytes;
-            if (span > opts.bufferBytes) {
+            if (span > plan.options.bufferBytes) {
                 report.add(Severity::Error, passName, loc,
                            "follower accessor (node %d) tap distance "
                            "%lld exceeds the %u-byte buffer window",
                            ad.node,
                            static_cast<long long>(ad.combineDistance),
-                           opts.bufferBytes);
+                           plan.options.bufferBytes);
             }
         }
         // Every access node mapped here must have been specialized.
@@ -396,6 +395,7 @@ checkCharacteristics(const OffloadPlan &plan, Report &report)
 void
 checkPlan(const OffloadPlan &plan, const Options &opts, Report &report)
 {
+    (void)opts;
     if (plan.partitions.empty()) {
         report.add(Severity::Error, passName, kernelLoc(plan),
                    "plan has no partitions");
@@ -403,7 +403,7 @@ checkPlan(const OffloadPlan &plan, const Options &opts, Report &report)
     }
     checkNodeCoverage(plan, report);
     checkObjectConstraint(plan, report);
-    checkAccessorPlacement(plan, opts, report);
+    checkAccessorPlacement(plan, report);
     checkChannelMaterialization(plan, report);
     checkWiring(plan, report);
     checkCharacteristics(plan, report);

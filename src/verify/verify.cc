@@ -1,8 +1,8 @@
 /**
  * @file
  * The verification pass manager: runs every registered pass over a
- * compiled plan, and the enforcement shim used at the compiler, plan
- * artifact and driver integration points.
+ * compiled plan, and the enforcement shim the driver applies to every
+ * plan a run acquires.
  */
 
 #include "src/verify/verify.hh"
@@ -18,27 +18,6 @@ using compiler::Node;
 using compiler::NodeKind;
 using compiler::OffloadPlan;
 using compiler::OpCode;
-
-Options
-optionsFor(const compiler::CompileOptions &opts)
-{
-    Options v;
-    v.channelCapacity = opts.channelCapacity;
-    v.bufferBytes = opts.bufferBytes;
-    // Substrate choice is an engine-side decision; the compile-time
-    // run checks the substrate-independent artifact only (no fabric).
-    return v;
-}
-
-int
-Options::capacityOf(int channel) const
-{
-    if (channel >= 0 &&
-        static_cast<std::size_t>(channel) < channelCapacities.size() &&
-        channelCapacities[static_cast<std::size_t>(channel)] > 0)
-        return channelCapacities[static_cast<std::size_t>(channel)];
-    return channelCapacity;
-}
 
 const std::vector<Pass> &
 passes()
@@ -63,18 +42,15 @@ verifyPlan(const OffloadPlan &plan, const Options &opts)
 }
 
 void
-enforce(const Report &report, compiler::VerifyMode mode,
-        const std::string &what)
+enforce(const Report &report, const std::string &what)
 {
-    if (mode == compiler::VerifyMode::Off || report.empty())
-        return;
     for (const Diag &d : report.diags())
         warn("verify: %s: %s", what.c_str(), d.str().c_str());
-    if (mode == compiler::VerifyMode::Error && !report.ok()) {
+    if (!report.ok()) {
         panic("static verification of '%s' failed with %d error(s); "
               "first: %s",
               what.c_str(), report.errorCount(),
-              report.diags().front().str().c_str());
+              report.firstError().c_str());
     }
 }
 

@@ -48,15 +48,13 @@ namespace distda::verify
 
 struct InvocationProfile;
 
-/** What to check and against which engine parameters. */
+/**
+ * What to check beyond the plan itself. Channel depth and buffer
+ * bytes come from the plan's own options (OffloadPlan::options), the
+ * parameters the engine will instantiate it with.
+ */
 struct Options
 {
-    /** Decoupling depth the engine will instantiate (elements). */
-    int channelCapacity = 64;
-    /** Per-channel capacity overrides by channel id (empty: uniform). */
-    std::vector<int> channelCapacities;
-    /** Access-unit buffer capacity (combining-distance bound). */
-    std::uint32_t bufferBytes = 4096;
     /** Check CGRA mapping legality against this fabric when set. */
     std::optional<cgra::CgraParams> fabric;
     /**
@@ -64,13 +62,7 @@ struct Options
      * static-only analysis (see src/verify/analysis.hh).
      */
     const InvocationProfile *profile = nullptr;
-
-    /** Capacity of channel @p channel: its override, else uniform. */
-    int capacityOf(int channel) const;
 };
-
-/** Verification parameters implied by the compile options. */
-Options optionsFor(const compiler::CompileOptions &opts);
 
 /** One registered verification pass. */
 struct Pass
@@ -88,13 +80,10 @@ Report verifyPlan(const compiler::OffloadPlan &plan,
                   const Options &opts = Options{});
 
 /**
- * Report and enforce: warnings go to warn(); under
- * VerifyMode::Error any error panics (a plan that fails static
- * verification is a compiler bug), under Warn errors are downgraded
- * to warn() so the run proceeds at the caller's risk.
+ * Report and enforce: every finding goes to warn(), then any error
+ * panics (a plan that fails static verification is a compiler bug).
  */
-void enforce(const Report &report, compiler::VerifyMode mode,
-             const std::string &what);
+void enforce(const Report &report, const std::string &what);
 
 } // namespace distda::verify
 

@@ -80,13 +80,12 @@ makeReduceKernel()
  * structural passes by design.
  */
 verify::Report
-runPass(const char *name, const OffloadPlan &plan,
-        const verify::Options &vo)
+runPass(const char *name, const OffloadPlan &plan)
 {
     verify::Report report;
     for (const verify::Pass &pass : verify::passes()) {
         if (std::string(pass.name) == name)
-            pass.run(plan, vo, report);
+            pass.run(plan, verify::Options{}, report);
     }
     return report;
 }
@@ -353,11 +352,10 @@ TEST(AnalysisBounds, CarryFixpointConverges)
 TEST(AnalysisChannels, PipelinedPlanLiveAtCapacityOne)
 {
     // One token per iteration per channel: live at any depth >= 1.
-    const OffloadPlan plan = compileKernel(makeStreamKernel());
+    OffloadPlan plan = compileKernel(makeStreamKernel());
     ASSERT_EQ(plan.channels.size(), 1u);
-    verify::Options vo;
-    vo.channelCapacity = 1;
-    const auto facts = runPass("channels", plan, vo);
+    plan.options.channelCapacity = 1;
+    const auto facts = runPass("channels", plan);
     EXPECT_TRUE(facts.ok()) << facts.str();
     EXPECT_EQ(facts.deadlockFree, Verdict::Proven);
     ASSERT_EQ(facts.channels.size(), 1u);
@@ -368,7 +366,7 @@ TEST(AnalysisChannels, PipelinedPlanLiveAtCapacityOne)
 
 TEST(AnalysisChannels, BurstPlanNeedsCapacityTwo)
 {
-    const OffloadPlan plan = burstPlan();
+    OffloadPlan plan = burstPlan();
     const verify::TokenGraph graph(plan);
     EXPECT_TRUE(graph.balanced());
     EXPECT_FALSE(graph.structuralDeadlock());
@@ -376,14 +374,13 @@ TEST(AnalysisChannels, BurstPlanNeedsCapacityTwo)
     EXPECT_EQ(graph.minSafeCapacity(0), 2);
     EXPECT_EQ(graph.minSafeCapacity(1), 1);
 
-    verify::Options vo;
-    vo.channelCapacity = 1;
-    const auto shallow = runPass("channels", plan, vo);
+    plan.options.channelCapacity = 1;
+    const auto shallow = runPass("channels", plan);
     EXPECT_EQ(shallow.deadlockFree, Verdict::Violated);
     EXPECT_EQ(shallow.errorCount(), 1);
 
-    vo.channelCapacity = 2;
-    const auto deep = runPass("channels", plan, vo);
+    plan.options.channelCapacity = 2;
+    const auto deep = runPass("channels", plan);
     EXPECT_EQ(deep.deadlockFree, Verdict::Proven);
     EXPECT_TRUE(deep.ok()) << deep.str();
     ASSERT_EQ(deep.channels.size(), 2u);
@@ -391,26 +388,13 @@ TEST(AnalysisChannels, BurstPlanNeedsCapacityTwo)
     EXPECT_EQ(deep.channels[1].minSafeCapacity, 1);
 }
 
-TEST(AnalysisChannels, PerChannelCapacityOverrides)
-{
-    // Channel 0 alone needs depth 2; an override there suffices even
-    // with the uniform default at 1.
-    verify::Options vo;
-    vo.channelCapacity = 1;
-    vo.channelCapacities = {2};
-    const auto facts = runPass("channels", burstPlan(), vo);
-    EXPECT_EQ(facts.deadlockFree, Verdict::Proven);
-    EXPECT_EQ(facts.channels[0].configuredCapacity, 2);
-    EXPECT_EQ(facts.channels[1].configuredCapacity, 1);
-}
-
 TEST(AnalysisChannels, VerifyPassReportsCapacityDeadlock)
 {
     // One run of the channels pass yields both the Violated liveness
     // fact and the error naming the channel and the depth it needs.
-    verify::Options vo;
-    vo.channelCapacity = 1;
-    const auto report = runPass("channels", burstPlan(), vo);
+    OffloadPlan plan = burstPlan();
+    plan.options.channelCapacity = 1;
+    const auto report = runPass("channels", plan);
     EXPECT_EQ(report.deadlockFree, Verdict::Violated);
     EXPECT_TRUE(report.hasErrorFrom("channels"));
     EXPECT_TRUE(report.mentions("capacity deadlock")) << report.str();

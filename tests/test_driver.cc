@@ -55,9 +55,8 @@ TEST(Config, ModelsMapToPaperConfigurations)
 
     RunConfig sw;
     sw.model = ArchModel::DistDA_IO_SW;
-    auto sw_engine = sw.engineConfig();
-    EXPECT_EQ(sw_engine.issueWidth, 4);
-    EXPECT_TRUE(sw_engine.swPrefetch);
+    EXPECT_EQ(sw.engineConfig().issueWidth, 4);
+    EXPECT_TRUE(sw.compileOptions().swPrefetch);
 
     RunConfig fa;
     fa.model = ArchModel::DistDA_F_A;
@@ -80,12 +79,13 @@ TEST(Config, AblationKnobsReachBothLayers)
     cfg.disableRetention = true;
     cfg.bufferBytesOverride = 1024;
     cfg.channelCapacityOverride = 4;
-    EXPECT_FALSE(cfg.compileOptions().enableCombining);
-    EXPECT_EQ(cfg.compileOptions().bufferBytes, 1024u);
-    auto e = cfg.engineConfig();
-    EXPECT_FALSE(e.retainBuffers);
-    EXPECT_EQ(e.clusterBufferBytes, 1024u);
-    EXPECT_EQ(e.channelCapacity, 4);
+    // Buffer bytes and channel depth reach the engine through the
+    // plan's options only.
+    const compiler::CompileOptions co = cfg.compileOptions();
+    EXPECT_FALSE(co.enableCombining);
+    EXPECT_EQ(co.bufferBytes, 1024u);
+    EXPECT_EQ(co.channelCapacity, 4);
+    EXPECT_FALSE(cfg.engineConfig().retainBuffers);
 }
 
 TEST(Config, HeadlineModelListMatchesPaperOrder)

@@ -16,11 +16,14 @@
 #include <thread>
 #include <vector>
 
+#include "death_helpers.hh"
 #include "src/compiler/plan_cache.hh"
 #include "src/compiler/plan_io.hh"
+#include "src/driver/context.hh"
 #include "src/driver/runner.hh"
 #include "src/driver/system.hh"
 #include "src/sim/logging.hh"
+#include "src/verify/verify.hh"
 #include "src/workloads/workload.hh"
 
 using namespace distda;
@@ -200,7 +203,9 @@ TEST(PlanIo, ValidatorFlagsCorruptedFields)
 {
     // One corruption per defect class, applied to every distributed
     // plan with a channel: each is written into an artifact, parsed
-    // back, and must be rejected.
+    // back, and must be rejected by the identity check
+    // (validatePlanArtifact) or by the verification every acquired
+    // plan gets (verify::verifyPlan).
     struct Corruption
     {
         const char *what;
@@ -293,14 +298,16 @@ TEST(PlanIo, ValidatorFlagsCorruptedFields)
             c.apply(bad);
             const OffloadPlan back =
                 compiler::parsePlan(compiler::serializePlan(bad));
-            EXPECT_NE(compiler::validatePlanArtifact(back), "")
+            EXPECT_TRUE(compiler::validatePlanArtifact(back) != "" ||
+                        !verify::verifyPlan(back).ok())
                 << plan.kernel.name << ": " << c.what;
         }
         // The untouched artifact stays clean.
-        EXPECT_EQ(compiler::validatePlanArtifact(compiler::parsePlan(
-                      compiler::serializePlan(plan))),
-                  "")
+        const OffloadPlan back =
+            compiler::parsePlan(compiler::serializePlan(plan));
+        EXPECT_EQ(compiler::validatePlanArtifact(back), "")
             << plan.kernel.name;
+        EXPECT_TRUE(verify::verifyPlan(back).ok()) << plan.kernel.name;
     }
     EXPECT_GE(checked, 4);
 }
@@ -381,6 +388,30 @@ TEST(PlanCacheTest, InsertedPlansAreFoundByFingerprint)
     EXPECT_TRUE(hit.hit);
     EXPECT_EQ(hit.plan.get(), plan.get());
     EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(PlanCacheTest, CacheHitsAreVerifiedWhenAcquired)
+{
+    // The fingerprint covers the kernel and options, not the compiled
+    // contents: a corrupted plan under a valid fingerprint is found
+    // only by verifying the plan a run acquires from the cache.
+    auto wl = workloads::makeWorkload("fdt", 0.25);
+    driver::SystemParams sp;
+    sp.arenaBytes = wl->arenaBytes();
+    driver::System sys(sp);
+    wl->setup(sys);
+    const Kernel &kernel = *wl->kernels().front();
+    driver::RunConfig cfg;
+    cfg.model = ArchModel::DistDA_IO;
+
+    OffloadPlan bad = compiler::compileKernel(kernel, cfg.compileOptions());
+    bad.characteristics.numPartitions += 1;
+    PlanCache::process().clear();
+    PlanCache::process().insert(
+        std::make_shared<const OffloadPlan>(std::move(bad)));
+    driver::ExecContext ctx(sys, cfg);
+    EXPECT_PANIC((void)ctx.compileOnly(kernel), "static verification");
+    PlanCache::process().clear();
 }
 
 TEST(PlanCacheTest, CachedAndFreshRunsProduceIdenticalMetrics)

@@ -2,8 +2,9 @@
  * @file
  * Sweep-engine tests: the thread pool, serial-vs-parallel metric
  * equality (the --jobs correctness bar), deterministic result
- * ordering, failure isolation of panicking/fatal()ing jobs, and
- * run-to-run repeatability of runWorkload itself.
+ * ordering, failure isolation of panicking/fatal()ing jobs,
+ * run-to-run repeatability of runWorkload itself, and the quick-sweep
+ * CSVs against the committed goldens.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +12,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <thread>
 
 #include "src/driver/pool.hh"
 #include "src/driver/sweep.hh"
+#include "src/workloads/workload.hh"
 
 using namespace distda;
 using driver::ArchModel;
@@ -40,6 +44,47 @@ smokeJobs()
         }
     }
     return jobs;
+}
+
+/** One `--quick` run of @p workload under @p config. */
+SweepJob
+quickJob(const std::string &workload, const driver::RunConfig &config)
+{
+    SweepJob job;
+    job.workload = workload;
+    job.config = config;
+    job.options.scale = 0.25;
+    return job;
+}
+
+driver::RunConfig
+modelConfig(ArchModel m)
+{
+    driver::RunConfig cfg;
+    cfg.model = m;
+    return cfg;
+}
+
+/** What `distda_run --csv` prints for @p jobs. */
+std::string
+sweepCsv(const std::vector<SweepJob> &jobs)
+{
+    std::string csv = driver::csvHeader() + "\n";
+    for (const driver::SweepResult &r : driver::runSweep(jobs)) {
+        EXPECT_TRUE(r.ok) << r.workload << "/" << r.label << ": "
+                          << r.error;
+        csv += driver::csvRow(r.metrics) + "\n";
+    }
+    return csv;
+}
+
+std::string
+readGolden(const char *name)
+{
+    std::ifstream in(std::string(DISTDA_GOLDEN_DIR) + "/" + name);
+    EXPECT_TRUE(in.good()) << name;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
 }
 
 } // namespace
@@ -238,6 +283,32 @@ TEST(Sweep, CsvHeaderMatchesRowArity)
         return std::count(s.begin(), s.end(), ',');
     };
     EXPECT_EQ(commas(header), commas(row));
+}
+
+TEST(Sweep, QuickSweepsMatchTheGoldens)
+{
+    // `distda_run --workload=all --config=all --quick --csv`.
+    std::vector<SweepJob> sweep;
+    for (const std::string &w : workloads::workloadNames()) {
+        for (ArchModel m : driver::headlineModels())
+            sweep.push_back(quickJob(w, modelConfig(m)));
+    }
+    EXPECT_EQ(sweepCsv(sweep), readGolden("quick_sweep.csv"));
+
+    // Three `--workload=all --quick --csv` runs under one header:
+    // software prefetching, locality-aware allocation, and the buffer
+    // and channel overrides (--buffer=1024 --channel=4).
+    driver::RunConfig overrides = modelConfig(ArchModel::DistDA_F);
+    overrides.bufferBytesOverride = 1024;
+    overrides.channelCapacityOverride = 4;
+    std::vector<SweepJob> variants;
+    for (const driver::RunConfig &cfg :
+         {modelConfig(ArchModel::DistDA_IO_SW),
+          modelConfig(ArchModel::DistDA_F_A), overrides}) {
+        for (const std::string &w : workloads::workloadNames())
+            variants.push_back(quickJob(w, cfg));
+    }
+    EXPECT_EQ(sweepCsv(variants), readGolden("quick_variants.csv"));
 }
 
 TEST(Logging, FailureCaptureConvertsFatalAndPanic)

@@ -18,9 +18,11 @@
  * one "<kernel>-<fingerprint>.plan" file per kernel into --out=<dir>
  * (creating the directory), exactly as the runner's --plan-dir does.
  *
- * validate parses each artifact, runs the structural validator (cross
- * references, characteristics consistency, fingerprint match) and
- * checks the serialize→parse→serialize round trip is byte-identical.
+ * validate parses each artifact, checks its kernel and fingerprint
+ * (compiler::validatePlanArtifact), runs every verification pass
+ * under the artifact's own options (verify::verifyPlan; no fabric, as
+ * the artifact does not name a substrate) and checks the
+ * serialize→parse→serialize round trip is byte-identical.
  * Exit status is nonzero iff any file fails.
  *
  * diff compares two artifacts line by line and prints the first
@@ -46,6 +48,7 @@
 #include "src/driver/config.hh"
 #include "src/driver/system.hh"
 #include "src/sim/logging.hh"
+#include "src/verify/verify.hh"
 #include "src/workloads/workload.hh"
 
 using namespace distda;
@@ -63,22 +66,6 @@ struct Args
     std::vector<std::string> files;
 };
 
-driver::ArchModel
-parseModel(const std::string &name)
-{
-    const driver::ArchModel all[] = {
-        driver::ArchModel::OoO,          driver::ArchModel::MonoCA,
-        driver::ArchModel::MonoDA_IO,    driver::ArchModel::MonoDA_F,
-        driver::ArchModel::DistDA_IO,    driver::ArchModel::DistDA_F,
-        driver::ArchModel::DistDA_IO_SW, driver::ArchModel::DistDA_F_A,
-    };
-    for (driver::ArchModel m : all) {
-        if (name == driver::archModelName(m))
-            return m;
-    }
-    fatal("unknown config '%s'", name.c_str());
-}
-
 /** Compile every kernel of the selected workload. */
 std::vector<compiler::OffloadPlan>
 compileWorkload(const Args &args)
@@ -87,7 +74,7 @@ compileWorkload(const Args &args)
     driver::SystemParams sp;
     sp.arenaBytes = wl->arenaBytes();
     driver::RunConfig cfg;
-    cfg.model = parseModel(args.config);
+    cfg.model = driver::parseArchModel(args.config);
     sp.allocAffinity = cfg.allocAffinity();
     driver::System sys(sp);
     wl->setup(sys);
@@ -137,6 +124,8 @@ cmdValidate(const Args &args)
             const compiler::OffloadPlan plan =
                 compiler::loadPlan(path);
             defect = compiler::validatePlanArtifact(plan);
+            if (defect.empty())
+                defect = verify::verifyPlan(plan).firstError();
             if (defect.empty()) {
                 const std::string text =
                     compiler::serializePlan(plan);

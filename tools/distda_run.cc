@@ -10,8 +10,7 @@
  *              [--quick] [--paper]
  *              [--no-combining] [--no-retention]
  *              [--buffer=<bytes>] [--channel=<elems>]
- *              [--verify[=warn|error|off]] [--verify-only]
- *              [--verify-json=<file>] [--analyze[=json]]
+ *              [--verify-only] [--verify-json=<file>] [--analyze[=json]]
  *              [--breakdown[=text|json|off]]
  *              [--timeline=<file>] [--stats-json=<file>]
  *              [--stats-interval=<ticks>] [--report-dir=<dir>]
@@ -22,10 +21,13 @@
  * are reported in deterministic job order and each simulation is
  * deterministic, so output is byte-identical at every --jobs level.
  *
- * --verify sets how statically-detected plan bugs are treated during
- * compilation (default: error). --verify-only compiles every kernel,
- * prints all verifier diagnostics and exits without simulating;
- * the exit status is nonzero iff any error-severity finding exists.
+ * Every run verifies each plan once, when it acquires it (compiled,
+ * cached or loaded from --plan-dir), with every verification pass
+ * under the plan's own channel and buffer parameters and, on CGRA
+ * models, the fabric: an error stops the run. --verify-only compiles
+ * every kernel, prints all verifier diagnostics and exits without
+ * simulating; the exit status is nonzero iff any error-severity
+ * finding exists.
  * --verify-json=<file> implies --verify-only and additionally writes
  * one structured verification report per kernel (diagnostics plus
  * the static facts; the --analyze=json kernel schema) to the file.
@@ -86,6 +88,7 @@
 #include <vector>
 
 #include "src/driver/config.hh"
+#include "src/driver/report.hh"
 #include "src/driver/sweep.hh"
 #include "src/offload/lifecycle.hh"
 #include "src/sim/json.hh"
@@ -95,21 +98,6 @@ using namespace distda;
 
 namespace
 {
-
-compiler::VerifyMode
-parseVerifyMode(const std::string &name)
-{
-    const compiler::VerifyMode all[] = {
-        compiler::VerifyMode::Off,
-        compiler::VerifyMode::Warn,
-        compiler::VerifyMode::Error,
-    };
-    for (compiler::VerifyMode m : all) {
-        if (name == compiler::verifyModeName(m))
-            return m;
-    }
-    fatal("unknown verify mode '%s' (off|warn|error)", name.c_str());
-}
 
 void
 printList()
@@ -198,36 +186,6 @@ printBreakdownText(std::FILE *out, const driver::Metrics &m)
     }
 }
 
-void
-breakdownJson(sim::JsonWriter &w, const driver::Metrics &m)
-{
-    w.beginObject();
-    w.key("workload").value(m.workload);
-    w.key("config").value(m.config);
-    w.key("kernels").beginArray();
-    for (const driver::OffloadPhaseBreakdown &row :
-         m.offloadBreakdown) {
-        w.beginObject();
-        w.key("kernel").value(row.kernel);
-        w.key("invocations").value(row.invocations);
-        w.key("phases").beginObject();
-        for (std::size_t p = 0; p < offload::kNumPhases; ++p) {
-            w.key(offload::phaseName(static_cast<offload::Phase>(p)))
-                .value(row.phaseTicks[p]);
-        }
-        w.endObject();
-        w.key("e2e_ticks").value(row.e2eTicks);
-        w.key("p50_ticks").value(row.p50);
-        w.key("p95_ticks").value(row.p95);
-        w.key("p99_ticks").value(row.p99);
-        w.key("min_ticks").value(row.minTicks);
-        w.key("max_ticks").value(row.maxTicks);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-}
-
 } // namespace
 
 int
@@ -282,10 +240,6 @@ main(int argc, char **argv)
         } else if (arg.rfind("--channel=", 0) == 0) {
             cfg.channelCapacityOverride = static_cast<int>(
                 driver::parseInt(arg.substr(10), "--channel"));
-        } else if (arg == "--verify") {
-            cfg.verifyPlans = compiler::VerifyMode::Error;
-        } else if (arg.rfind("--verify=", 0) == 0) {
-            cfg.verifyPlans = parseVerifyMode(arg.substr(9));
         } else if (arg == "--verify-only") {
             verify_only = true;
         } else if (arg.rfind("--verify-json=", 0) == 0) {
@@ -448,8 +402,14 @@ main(int argc, char **argv)
         jw.beginObject();
         jw.key("breakdown").beginArray();
         for (const auto &r : results) {
-            if (r.ok)
-                breakdownJson(jw, r.metrics);
+            if (!r.ok)
+                continue;
+            jw.beginObject();
+            jw.key("workload").value(r.metrics.workload);
+            jw.key("config").value(r.metrics.config);
+            jw.key("kernels");
+            driver::breakdownJson(jw, r.metrics);
+            jw.endObject();
         }
         jw.endArray();
         jw.endObject();
