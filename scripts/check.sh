@@ -29,12 +29,15 @@
 #  10. Release build + perf-regression gate (bench/perf_baseline vs
 #      the most recent committed BENCH_*.json, via
 #      scripts/perf_check.sh)
-#  11. ASan+UBSan and TSan test-suite runs, plus a TSan parallel
+#  11. perfbench self-test: every benchmark job must validate and its
+#      simulated-stat digest must equal perfbench/reference.txt (the
+#      bit-exactness gate for every fast path)
+#  12. ASan+UBSan and TSan test-suite runs, plus a TSan parallel
 #      sweep smoke
-#  12. clang-tidy (when available): strict over src/verify + src/sim
+#  13. clang-tidy (when available): strict over src/verify + src/sim
 #      + src/compiler + src/offload + src/serve (warnings are
 #      errors), advisory elsewhere
-#  13. optionally ($RUN_BENCH=1) regenerate every table/figure
+#  14. optionally ($RUN_BENCH=1) regenerate every table/figure
 set -e
 cd "$(dirname "$0")/.."
 
@@ -325,6 +328,9 @@ cmake --build "$BUILD-release" -j "$(nproc)" --target perf_baseline \
 "$BUILD-release"/bench/perf_baseline --label=check \
     --out="$BUILD-release"
 scripts/perf_check.sh "$BUILD-release/BENCH_check.json"
+
+echo "===== perfbench self-test (simulated-stat digests vs reference)"
+python3 perfbench/run.py --self-test
 
 for SAN in address thread; do
     echo "===== tests under $SAN sanitizer"

@@ -19,22 +19,23 @@ StreamUnit::StreamUnit(const StreamParams &params, MemPort port,
 {
     const std::int64_t s =
         std::max<std::int64_t>(std::llabs(params.strideBytes), 1);
+    std::int64_t per_fetch = 1;
     if (params.strideBytes == 0) {
         // Loop-invariant element: one fetch covers the whole stream.
-        _elemsPerFetch = std::max<std::int64_t>(
+        per_fetch = std::max<std::int64_t>(
             static_cast<std::int64_t>(params.totalElems), 1);
         _fetchBytes = params.elemBytes;
     } else if (s >= static_cast<std::int64_t>(mem::lineBytes)) {
         // Sparse stride: the access unit requests only the element it
         // needs from the bank (access specialization) rather than
         // pulling whole lines across the NoC.
-        _elemsPerFetch = 1;
         _fetchBytes = params.elemBytes;
     } else {
-        _elemsPerFetch = std::max<std::int64_t>(
+        per_fetch = std::max<std::int64_t>(
             static_cast<std::int64_t>(mem::lineBytes) / s, 1);
         _fetchBytes = mem::lineBytes;
     }
+    _perFetch = sim::Divisor(static_cast<std::uint64_t>(per_fetch));
     _capacityChunks = std::max<std::int64_t>(
         params.capacityBytes / std::max<std::uint32_t>(_fetchBytes, 1),
         2);
@@ -51,14 +52,14 @@ StreamUnit::StreamUnit(const StreamParams &params, MemPort port,
 void
 StreamUnit::updateFastBounds()
 {
-    _winLoK = _loChunk * _elemsPerFetch;
-    _winHiK = _hiChunk * _elemsPerFetch;
-    // The lookahead loop runs iff _hiChunk <= min(lead_c + lookahead,
-    // last_c); once the window reaches past the last chunk it can
+    _winLoK = _loChunk * elemsPerFetch();
+    _winHiK = _hiChunk * elemsPerFetch();
+    // The lookahead loop runs iff _hiChunk <= min(lead_c + _lookahead,
+    // _lastChunk); once the window reaches past the last chunk it can
     // never run again.
     _fastLeadLimitK = _hiChunk > _lastChunk
                           ? std::numeric_limits<std::int64_t>::max()
-                          : (_hiChunk - _lookahead) * _elemsPerFetch;
+                          : (_hiChunk - _lookahead) * elemsPerFetch();
 }
 
 void
@@ -73,7 +74,7 @@ StreamUnit::grow(std::int64_t c, sim::Tick now, bool fetch)
         ch.fetched = true;
         _fsmNow = issue + _params.cycleTick;
         _stats->daBytes += _fetchBytes;
-        _stats->bufferAccesses += _elemsPerFetch;
+        _stats->bufferAccesses += elemsPerFetch();
         if (_probe) {
             _probe->span(_probeTrack, "fill", issue, ch.ready);
             if (_fillDist)
@@ -112,7 +113,7 @@ StreamUnit::evictFront(sim::Tick now)
         _fsmNow = issue + _params.cycleTick;
         _drainDone.push_back(issue + lat);
         _stats->daBytes += _fetchBytes;
-        _stats->bufferAccesses += _elemsPerFetch;
+        _stats->bufferAccesses += elemsPerFetch();
         if (_probe)
             _probe->span(_probeTrack, "drain", issue, issue + lat);
     }
@@ -182,14 +183,8 @@ StreamUnit::readAt(std::int64_t k, sim::Tick consumer_now,
     // window forward past chunks no tap still needs (this is what
     // decouples the partition from memory latency).
     const std::int64_t lead_c = chunkOf(_leadK);
-    const std::int64_t lookahead =
-        std::max<std::int64_t>(_capacityChunks / 2, 1);
-    const std::uint64_t total = std::max<std::uint64_t>(
-        _params.totalElems, 1);
-    const std::int64_t last_c =
-        chunkOf(static_cast<std::int64_t>(total) - 1);
     const std::int64_t protect = chunkOf(_leadK - _maxTapDistance);
-    while (_hiChunk <= std::min(lead_c + lookahead, last_c)) {
+    while (_hiChunk <= std::min(lead_c + _lookahead, _lastChunk)) {
         if (_hiChunk - _loChunk >= _capacityChunks) {
             if (_loChunk < protect)
                 evictFront(consumer_now);
@@ -214,7 +209,7 @@ StreamUnit::readAt(std::int64_t k, sim::Tick consumer_now,
             _params.unitCluster, _params.consumerCluster,
             _params.elemBytes, noc::TrafficClass::AccData, ready);
         // Credits return batched at chunk granularity.
-        if (eff_k % _elemsPerFetch == 0) {
+        if (_perFetch.divides(eff_k)) {
             _mesh->transfer(_params.consumerCluster,
                             _params.unitCluster, 8,
                             noc::TrafficClass::AccCtrl, ready);
@@ -249,7 +244,7 @@ StreamUnit::writeAt(std::int64_t k, sim::Tick now,
                         _params.elemBytes, noc::TrafficClass::AccData,
                         t);
         // Credits return batched at chunk granularity.
-        if (eff_k % _elemsPerFetch == 0) {
+        if (_perFetch.divides(eff_k)) {
             _mesh->transfer(_params.unitCluster,
                             _params.consumerCluster, 8,
                             noc::TrafficClass::AccCtrl, t);
@@ -283,7 +278,7 @@ StreamUnit::flush(sim::Tick now)
         _fsmNow = issue + _params.cycleTick;
         _drainDone.push_back(issue + lat);
         _stats->daBytes += _fetchBytes;
-        _stats->bufferAccesses += _elemsPerFetch;
+        _stats->bufferAccesses += elemsPerFetch();
         if (_probe)
             _probe->span(_probeTrack, "drain", issue, issue + lat);
         ch.dirty = false;
@@ -298,13 +293,9 @@ StreamUnit::flush(sim::Tick now)
 void
 StreamUnit::rewind(sim::Tick now)
 {
-    const std::uint64_t total = std::max<std::uint64_t>(
-        _params.totalElems, 1);
     const std::int64_t first_c = chunkOf(-_maxTapDistance);
-    const std::int64_t last_c =
-        chunkOf(static_cast<std::int64_t>(total) - 1);
     const bool fully_resident =
-        !_window.empty() && _loChunk <= first_c && _hiChunk > last_c;
+        !_window.empty() && _loChunk <= first_c && _hiChunk > _lastChunk;
     if (!fully_resident) {
         flush(now);
         _window.clear();

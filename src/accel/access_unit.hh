@@ -28,6 +28,7 @@
 
 #include "src/compiler/dfg.hh"
 #include "src/mem/hierarchy.hh"
+#include "src/sim/divisor.hh"
 #include "src/sim/ticks.hh"
 
 namespace distda::accel
@@ -150,7 +151,11 @@ class StreamUnit
     void rewind(sim::Tick now);
 
     /** Elements fetched per memory access (spatial locality). */
-    std::int64_t elemsPerFetch() const { return _elemsPerFetch; }
+    std::int64_t
+    elemsPerFetch() const
+    {
+        return static_cast<std::int64_t>(_perFetch.value());
+    }
 
     /** Chunks currently resident. */
     std::int64_t residentChunks() const { return _hiChunk - _loChunk; }
@@ -166,8 +171,7 @@ class StreamUnit
     std::int64_t
     chunkOf(std::int64_t k) const
     {
-        return k >= 0 ? k / _elemsPerFetch
-                      : (k - _elemsPerFetch + 1) / _elemsPerFetch;
+        return _perFetch.floorDiv(k);
     }
 
     mem::Addr
@@ -175,7 +179,7 @@ class StreamUnit
     {
         return static_cast<mem::Addr>(
             static_cast<std::int64_t>(_params.base) +
-            c * _elemsPerFetch * _params.strideBytes);
+            c * elemsPerFetch() * _params.strideBytes);
     }
 
     /** Make chunk @p c resident (fetching when loads need data). */
@@ -206,9 +210,11 @@ class StreamUnit
     int _probeTrack;
     stats::Distribution *_fillDist;
 
-    std::int64_t _elemsPerFetch;
+    sim::Divisor _perFetch; ///< elements per chunk (one fetch)
     std::int64_t _capacityChunks;
     std::uint32_t _fetchBytes;
+    std::int64_t _lookahead; ///< fill-FSM lookahead distance, chunks
+    std::int64_t _lastChunk; ///< chunk of the stream's final element
 
     std::deque<Chunk> _window;
     std::int64_t _loChunk = 0;
@@ -223,8 +229,6 @@ class StreamUnit
     // loop. These bounds, refreshed by updateFastBounds() on every
     // window shape change, let readAt prove that with three compares.
     bool _sameCluster;       ///< unit and consumer co-located
-    std::int64_t _lookahead; ///< fill-FSM lookahead distance, chunks
-    std::int64_t _lastChunk; ///< chunk of the stream's final element
     std::int64_t _winLoK = 0;        ///< window start, element space
     std::int64_t _winHiK = 0;        ///< window end, element space
     std::int64_t _fastLeadLimitK = 0; ///< lead below which the

@@ -9,9 +9,11 @@
 #ifndef DISTDA_ENGINE_BACKEND_HH
 #define DISTDA_ENGINE_BACKEND_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "src/compiler/dfg.hh"
 #include "src/mem/addr.hh"
@@ -24,13 +26,22 @@ namespace distda::engine
 class MemBackend
 {
   public:
+    /**
+     * The arena is zeroed lazily: calloc hands large blocks straight
+     * from fresh zero pages, so a job touches only the bytes it uses.
+     */
     MemBackend(mem::Addr base, std::uint64_t size)
-        : _base(base), _data(size, 0)
+        : _base(base), _size(size),
+          _data(static_cast<std::uint8_t *>(
+              std::calloc(std::max<std::uint64_t>(size, 1), 1)))
     {
+        if (!_data)
+            fatal("cannot allocate a %llu-byte memory arena",
+                  static_cast<unsigned long long>(size));
     }
 
     mem::Addr base() const { return _base; }
-    std::uint64_t size() const { return _data.size(); }
+    std::uint64_t size() const { return _size; }
 
     /** Load an element; integers sign-extend, floats widen to double. */
     compiler::Word
@@ -120,11 +131,11 @@ class MemBackend
     void
     copyOut(mem::Addr addr, void *dst, std::uint64_t len) const
     {
-        DISTDA_ASSERT(addr >= _base && addr + len <= _base + _data.size(),
+        DISTDA_ASSERT(addr >= _base && addr + len <= _base + _size,
                       "backend copyOut [0x%llx, +%llu) outside arena",
                       static_cast<unsigned long long>(addr),
                       static_cast<unsigned long long>(len));
-        std::memcpy(dst, _data.data() + (addr - _base), len);
+        std::memcpy(dst, _data.get() + (addr - _base), len);
     }
 
   private:
@@ -132,10 +143,10 @@ class MemBackend
     at(mem::Addr addr, std::uint32_t elem_bytes)
     {
         DISTDA_ASSERT(addr >= _base &&
-                          addr + elem_bytes <= _base + _data.size(),
+                          addr + elem_bytes <= _base + _size,
                       "backend access 0x%llx outside arena",
                       static_cast<unsigned long long>(addr));
-        return _data.data() + (addr - _base);
+        return _data.get() + (addr - _base);
     }
 
     const std::uint8_t *
@@ -144,8 +155,14 @@ class MemBackend
         return const_cast<MemBackend *>(this)->at(addr, elem_bytes);
     }
 
+    struct Free
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
     mem::Addr _base;
-    std::vector<std::uint8_t> _data;
+    std::uint64_t _size;
+    std::unique_ptr<std::uint8_t[], Free> _data;
 };
 
 /** A typed view of one allocated data structure. */

@@ -20,7 +20,6 @@ Cache::Cache(const CacheParams &params, energy::Accountant *acct,
       _clock(params.clockHz),
       _numSets(params.sizeBytes / lineBytes /
                static_cast<std::uint64_t>(params.assoc)),
-      _setMask((_numSets & (_numSets - 1)) == 0 ? _numSets - 1 : 0),
       _tagLat(_clock.cyclesToTicks(params.latencyCycles)),
       _lines(_numSets * static_cast<std::size_t>(params.assoc)),
       _mshrFree(static_cast<std::size_t>(std::max(params.mshrs, 1)), 0),
@@ -31,6 +30,7 @@ Cache::Cache(const CacheParams &params, energy::Accountant *acct,
               params.name.c_str(),
               static_cast<unsigned long long>(params.sizeBytes),
               params.assoc);
+    _sets = sim::Divisor(_numSets);
     if (!_downstream)
         fatal("cache '%s' has no downstream", params.name.c_str());
 }
@@ -43,13 +43,9 @@ Cache::setIndex(Addr line_addr) const
         // Fibonacci hashing: high product bits mix every line bit, so
         // page-interleaved banks use all their sets.
         const Addr h = line * 0x9e3779b97f4a7c15ULL;
-        const auto hi = static_cast<std::size_t>(h >> 32);
-        return _setMask ? hi & _setMask : hi % _numSets;
+        return static_cast<std::size_t>(_sets.mod(h >> 32));
     }
-    // Power-of-two set counts (the common case) mask instead of
-    // dividing; identical index, no hardware divide per probe.
-    const auto l = static_cast<std::size_t>(line);
-    return _setMask ? l & _setMask : l % _numSets;
+    return static_cast<std::size_t>(_sets.mod(line));
 }
 
 Cache::Line *
@@ -205,7 +201,7 @@ Cache::prefetch(Addr line_addr, sim::Tick now)
 {
     const std::uint64_t region = line_addr >> 12;
     const auto line = static_cast<std::int64_t>(lineNum(line_addr));
-    StrideEntry &entry = _strideTable[region % _strideTable.size()];
+    StrideEntry &entry = _strideTable[region % strideTableEntries];
 
     if (entry.region != region) {
         entry.region = region;

@@ -21,6 +21,7 @@
 
 #include "src/energy/energy_model.hh"
 #include "src/mem/addr.hh"
+#include "src/sim/divisor.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
 
@@ -203,8 +204,7 @@ class Cache
     Downstream _downstream;
     sim::ClockDomain _clock;
     std::size_t _numSets;
-    /** _numSets - 1 when the set count is a power of two, else 0. */
-    std::size_t _setMask;
+    sim::Divisor _sets; ///< _numSets, masked when a power of two
     sim::Tick _tagLat; ///< tag/hit latency in ticks, fixed per cache
     std::vector<Line> _lines;          ///< numSets * assoc entries
     std::vector<sim::Tick> _mshrFree;  ///< next-free ticks, min-heap

@@ -14,15 +14,18 @@ Dram::Dram(const DramParams &params, energy::Accountant *acct)
 {
     if (params.banks < 1)
         fatal("dram needs at least one bank");
+    _rowBytes = sim::Divisor(params.rowBytes);
+    _banks = sim::Divisor(static_cast<std::uint64_t>(params.banks));
+    _lineXfer = static_cast<sim::Tick>(
+        static_cast<double>(lineBytes) / params.busBytesPerNs * 1000.0);
 }
 
 sim::Tick
 Dram::access(Addr addr, bool write, sim::Tick now)
 {
-    const std::int64_t row =
-        static_cast<std::int64_t>(addr / _params.rowBytes);
-    const auto bank =
-        static_cast<std::size_t>(row % _params.banks);
+    const std::uint64_t row_num = _rowBytes.div(addr);
+    const auto row = static_cast<std::int64_t>(row_num);
+    const auto bank = static_cast<std::size_t>(_banks.mod(row_num));
 
     sim::Tick start = std::max(now, _bankBusyUntil[bank]);
     sim::Tick access_lat = 0;
@@ -36,10 +39,8 @@ Dram::access(Addr addr, bool write, sim::Tick now)
     }
 
     // Line transfer over the shared bus.
-    const auto xfer = static_cast<sim::Tick>(
-        static_cast<double>(lineBytes) / _params.busBytesPerNs * 1000.0);
     sim::Tick bus_start = std::max(start + access_lat, _busBusyUntil);
-    sim::Tick done = bus_start + xfer;
+    sim::Tick done = bus_start + _lineXfer;
 
     _bankBusyUntil[bank] = start + access_lat;
     _busBusyUntil = done;

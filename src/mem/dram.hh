@@ -15,6 +15,7 @@
 
 #include "src/energy/energy_model.hh"
 #include "src/mem/addr.hh"
+#include "src/sim/divisor.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
 
@@ -55,6 +56,9 @@ class Dram
   private:
     DramParams _params;
     energy::Accountant *_acct;
+    sim::Divisor _rowBytes;
+    sim::Divisor _banks;
+    sim::Tick _lineXfer = 0; ///< one line over the shared bus
     std::vector<std::int64_t> _openRow;  ///< per-bank open row (-1 none)
     std::vector<sim::Tick> _bankBusyUntil;
     sim::Tick _busBusyUntil = 0;

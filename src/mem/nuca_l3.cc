@@ -10,7 +10,10 @@ namespace distda::mem
 
 NucaL3::NucaL3(const NucaParams &params, noc::Mesh *mesh, Dram *dram,
                energy::Accountant *acct)
-    : _params(params), _mesh(mesh), _dram(dram)
+    : _params(params), _pageBytes(params.pageBytes),
+      // Equal to params.clusters once the check below passes.
+      _clusters(static_cast<std::uint64_t>(mesh->numNodes())),
+      _mesh(mesh), _dram(dram)
 {
     if (params.clusters != mesh->numNodes())
         fatal("NUCA clusters (%d) must match mesh nodes (%d)",
@@ -51,8 +54,7 @@ NucaL3::clusterOf(Addr addr) const
                 return r.cluster;
         }
     }
-    return static_cast<int>((addr / _params.pageBytes) %
-                            static_cast<std::uint64_t>(_params.clusters));
+    return static_cast<int>(_clusters.mod(_pageBytes.div(addr)));
 }
 
 void

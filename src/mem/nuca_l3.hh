@@ -21,6 +21,7 @@
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
 #include "src/noc/mesh.hh"
+#include "src/sim/divisor.hh"
 
 namespace distda::mem
 {
@@ -100,6 +101,8 @@ class NucaL3
     };
 
     NucaParams _params;
+    sim::Divisor _pageBytes;
+    sim::Divisor _clusters;
     noc::Mesh *_mesh;
     Dram *_dram;
     std::vector<std::unique_ptr<Cache>> _banks;

@@ -28,6 +28,9 @@ Mesh::Mesh(const MeshParams &params, energy::Accountant *acct)
         fatal("mesh dimensions must be positive");
     if (params.hostNode < 0 || params.hostNode >= numNodes())
         fatal("host node %d outside mesh", params.hostNode);
+    _cols = sim::Divisor(static_cast<std::uint64_t>(params.cols));
+    _linkBytes = sim::Divisor(params.linkBytes);
+    _flitBytes = sim::Divisor(params.flitBytes);
 }
 
 void

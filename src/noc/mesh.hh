@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/energy/energy_model.hh"
+#include "src/sim/divisor.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
@@ -110,7 +111,7 @@ class Mesh
         // Serialization: the packet occupies each traversed link for
         // ceil(bytes / linkBytes) NoC cycles.
         const sim::Cycles ser_cycles =
-            (bytes + _params.linkBytes - 1) / _params.linkBytes;
+            _linkBytes.div(bytes + _params.linkBytes - 1);
         const sim::Tick ser = _clock.cyclesToTicks(
             std::max<sim::Cycles>(ser_cycles, 1));
 
@@ -131,9 +132,8 @@ class Mesh
         src_busy = start + ser;
         dst_busy = start + ser;
 
-        const double flits =
-            static_cast<double>((bytes + _params.flitBytes - 1) /
-                                _params.flitBytes);
+        const double flits = static_cast<double>(
+            _flitBytes.div(bytes + _params.flitBytes - 1));
         _totalHopFlits += flits * nhops;
         if (_acct)
             _acct->addEvents(energy::Component::Noc, flits * nhops);
@@ -165,8 +165,18 @@ class Mesh
     void setProbe(sim::Probe *probe);
 
   private:
-    int nodeX(int node) const { return node % _params.cols; }
-    int nodeY(int node) const { return node / _params.cols; }
+    int
+    nodeX(int node) const
+    {
+        return static_cast<int>(
+            _cols.mod(static_cast<std::uint64_t>(node)));
+    }
+    int
+    nodeY(int node) const
+    {
+        return static_cast<int>(
+            _cols.div(static_cast<std::uint64_t>(node)));
+    }
 
     /** Out-of-line probe bookkeeping for the inline transfer(). */
     void recordTransfer(int src, int nhops, std::uint32_t bytes,
@@ -176,6 +186,10 @@ class Mesh
     MeshParams _params;
     energy::Accountant *_acct;
     sim::ClockDomain _clock;
+    // Per-packet divisors: XY coordinates, serialization and flits.
+    sim::Divisor _cols;
+    sim::Divisor _linkBytes;
+    sim::Divisor _flitBytes;
     std::vector<sim::Tick> _routerBusyUntil;
     std::array<double,
                static_cast<std::size_t>(TrafficClass::NumClasses)>

@@ -48,7 +48,9 @@ class PointerChase : public Workload
     {
         _next = sys.alloc("next", static_cast<std::uint64_t>(_n), 8,
                           false);
-        // A single-cycle random permutation (Sattolo's algorithm).
+        // A single-cycle random permutation (Sattolo's algorithm): _n
+        // steps from node 0 end back at node 0, so the reference is the
+        // closed form refFinal (Workloads.PointerChaseIsOneCycle).
         std::vector<std::int64_t> perm(static_cast<std::size_t>(_n));
         for (std::int64_t i = 0; i < _n; ++i)
             perm[static_cast<std::size_t>(i)] = i;
@@ -62,11 +64,6 @@ class PointerChase : public Workload
         for (std::int64_t i = 0; i < _n; ++i)
             _next.setI(static_cast<std::uint64_t>(i),
                        perm[static_cast<std::size_t>(i)]);
-
-        // Reference: chase _n steps from node 0.
-        _refFinal = 0;
-        for (std::int64_t s = 0; s < _n; ++s)
-            _refFinal = perm[static_cast<std::size_t>(_refFinal)];
 
         KernelBuilder kb("pch_chase");
         kb.loopStatic(_n);
@@ -91,7 +88,7 @@ class PointerChase : public Workload
     validate(System &sys) override
     {
         (void)sys;
-        return _simFinal == _refFinal;
+        return _simFinal == refFinal;
     }
 
     std::vector<const Kernel *>
@@ -104,7 +101,7 @@ class PointerChase : public Workload
     std::int64_t _n;
     ArrayRef _next;
     Kernel _kernel;
-    std::int64_t _refFinal = 0;
+    static constexpr std::int64_t refFinal = 0;
     std::int64_t _simFinal = -1;
 };
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/accel/access_unit.hh"
 #include "src/energy/energy_model.hh"
 
@@ -290,6 +292,61 @@ TEST(StreamUnit, RemoteConsumerCountsForwardingTraffic)
     // chunk (8 elements/line).
     EXPECT_DOUBLE_EQ(stats.aaBytes - aa_before,
                      64.0 * 8.0 + (64.0 / 8.0) * 8.0);
+}
+
+TEST(StreamUnit, TwelveByteStrideChunksAndCreditsMatchTheFormulas)
+{
+    // A 12-byte stride packs 5 elements per 64B fetch, so chunk
+    // indices and the credit tests take the divide fallbacks, which no
+    // default configuration reaches. A tap 3 behind the lead starts at
+    // elements -3..-1, which floor into chunk -1.
+    energy::Accountant acct;
+    noc::Mesh mesh(noc::MeshParams{}, &acct);
+    StreamParams p;
+    p.base = 0x100000;
+    p.strideBytes = 12;
+    p.elemBytes = 4;
+    p.totalElems = 40;
+    p.unitCluster = 0;
+    p.consumerCluster = 3;
+    PortLog port;
+    AccessStats stats;
+    StreamUnit loads(p, port.fn(), &mesh, &stats);
+    ASSERT_EQ(loads.elemsPerFetch(), 5);
+    p.base = 0x200000;
+    p.hasLoads = false;
+    p.hasStores = true;
+    StreamUnit stores(p, port.fn(), &mesh, &stats);
+
+    double credits = 0.0;
+    sim::Tick now = 0;
+    for (std::int64_t k = 0; k < 40; ++k) {
+        for (std::int64_t d : {0, 3}) {
+            now = loads.readAt(k, now, d);
+            now = stores.writeAt(k, now, d);
+            credits += 2.0 * ((k - d) % 5 == 0);
+        }
+    }
+    stores.flush(now);
+
+    // Chunk c covers elements [5c, 5c + 5) at base + c * 5 * 12.
+    std::set<mem::Addr> fetched, drained;
+    for (const auto &[a, w] : port.calls)
+        (w ? drained : fetched).insert(a);
+    std::set<mem::Addr> want_fetched, want_drained;
+    for (std::int64_t c = -1; c <= 7; ++c) {
+        want_fetched.insert(0x100000 + c * 60);
+        want_drained.insert(0x200000 + c * 60);
+    }
+    EXPECT_EQ(fetched, want_fetched);
+    EXPECT_EQ(port.fetches(), 9.0); // each chunk exactly once
+    EXPECT_EQ(drained, want_drained);
+
+    // One 8B credit per element whose index is a multiple of 5.
+    EXPECT_DOUBLE_EQ(mesh.bytesInClass(noc::TrafficClass::AccCtrl),
+                     8.0 * credits);
+    EXPECT_DOUBLE_EQ(mesh.bytesInClass(noc::TrafficClass::AccData),
+                     2.0 * 80.0 * 4.0);
 }
 
 TEST(RandomUnit, RunAheadHidesLatency)

@@ -14,6 +14,7 @@
 #include "src/mem/hierarchy.hh"
 #include "src/mem/nuca_l3.hh"
 #include "src/mem/slab_allocator.hh"
+#include "src/sim/rng.hh"
 
 using namespace distda;
 using mem::Addr;
@@ -257,6 +258,50 @@ TEST(Dram, EnergyChargedPerLine)
                      2.0 * acct.params().dramLinePj);
 }
 
+TEST(Dram, NonPowerOfTwoGeometryMatchesTheModel)
+{
+    // No default configuration reaches the divide fallbacks: replay a
+    // line stream through 3000-byte rows on 6 banks and check every
+    // row hit/miss and latency against the open-page model spelled
+    // out with plain / and %.
+    energy::Accountant acct;
+    mem::DramParams p;
+    p.rowBytes = 3000;
+    p.banks = 6;
+    mem::Dram dram(p, &acct);
+
+    std::vector<std::int64_t> open_row(6, -1);
+    std::vector<sim::Tick> bank_busy(6, 0);
+    sim::Tick bus_busy = 0;
+    const auto xfer =
+        static_cast<sim::Tick>(64.0 / p.busBytesPerNs * 1000.0);
+    sim::Rng rng(7);
+    Addr line = 0;
+    sim::Tick now = 0;
+    for (int i = 0; i < 4000; ++i) {
+        // Mostly the next line (row hits), sometimes a far jump.
+        line = rng.nextBelow(8) == 0 ? rng.nextBelow(1 << 20) : line + 1;
+        const Addr addr = line * mem::lineBytes;
+        const auto row = static_cast<std::int64_t>(addr / 3000);
+        const auto bank = static_cast<std::size_t>(row % 6);
+        const sim::Tick start = std::max(now, bank_busy[bank]);
+        const bool hit = open_row[bank] == row;
+        const sim::Tick lat = hit ? p.tCl : p.tRp + p.tRcd + p.tCl;
+        open_row[bank] = row;
+        bank_busy[bank] = start + lat;
+        bus_busy = std::max(start + lat, bus_busy) + xfer;
+
+        const double hits_before = dram.rowHits();
+        EXPECT_EQ(dram.access(addr, i % 3 == 0, now), bus_busy - now)
+            << "access " << i;
+        EXPECT_EQ(dram.rowHits() - hits_before, hit ? 1.0 : 0.0)
+            << "access " << i;
+        now += rng.nextBelow(40000);
+    }
+    EXPECT_GT(dram.rowHits(), 0.0);
+    EXPECT_GT(dram.rowMisses(), 0.0);
+}
+
 TEST(Slab, RoundsToClassesAndRecycles)
 {
     mem::SlabAllocator slab(0x1000'0000, 1 << 20);
@@ -352,6 +397,34 @@ TEST(Nuca, PageInterleaveCoversAllClusters)
     // Within a granule, the cluster is constant.
     EXPECT_EQ(l3.clusterOf(granule + 64),
               l3.clusterOf(2 * granule - 64));
+}
+
+TEST(Nuca, NonPowerOfTwoInterleaveMatchesTheFormula)
+{
+    // 6 clusters on a 3x2 mesh with 12KB pages: both divides take the
+    // fallback path, which no default configuration reaches.
+    energy::Accountant acct;
+    noc::MeshParams mp;
+    mp.cols = 3;
+    mp.rows = 2;
+    noc::Mesh mesh(mp, &acct);
+    mem::Dram dram(mem::DramParams{}, &acct);
+    mem::NucaParams np;
+    np.clusters = 6;
+    np.pageBytes = 12288;
+    mem::NucaL3 l3(np, &mesh, &dram, &acct);
+
+    std::vector<Addr> addrs = {~Addr{0}, ~Addr{0} - 12288, Addr{1} << 63,
+                               (Addr{1} << 63) - 1};
+    for (Addr a = 0; a < 200 * 12288; a += 4096 + 64)
+        addrs.push_back(a);
+    std::set<int> seen;
+    for (Addr a : addrs) {
+        EXPECT_EQ(l3.clusterOf(a), static_cast<int>((a / 12288) % 6))
+            << a;
+        seen.insert(l3.clusterOf(a));
+    }
+    EXPECT_EQ(seen.size(), 6u);
 }
 
 TEST(Nuca, AffinityOverridesInterleave)

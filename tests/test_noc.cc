@@ -103,6 +103,48 @@ TEST(Mesh, ContentionDelaysBackToBackTransfers)
     EXPECT_GT(second.latency, first.latency);
 }
 
+TEST(Mesh, NonPowerOfTwoGeometryMatchesTheFormulas)
+{
+    // No default mesh reaches the divide fallbacks: a 3x3 mesh with
+    // 12-byte links and 6-byte flits must still route and serialize
+    // exactly as hops * hopCycles + ceil(bytes / linkBytes) cycles.
+    energy::Accountant acct;
+    noc::MeshParams p;
+    p.cols = 3;
+    p.rows = 3;
+    p.linkBytes = 12;
+    p.flitBytes = 6;
+    noc::Mesh mesh(p, &acct);
+    const sim::ClockDomain clock(p.clockHz);
+
+    double flit_hops = 0.0;
+    sim::Tick now = 0;
+    for (int a = 0; a < 9; ++a) {
+        for (int b = 0; b < 9; ++b) {
+            const int hops = std::abs(a % 3 - b % 3) + std::abs(a / 3 - b / 3);
+            EXPECT_EQ(mesh.hops(a, b), hops) << a << "->" << b;
+            for (std::uint32_t bytes : {1u, 8u, 12u, 13u, 64u, 72u}) {
+                // Far apart in time, so no router is still busy.
+                now += 1'000'000'000;
+                const auto r = mesh.transfer(a, b, bytes,
+                                             noc::TrafficClass::Data, now);
+                EXPECT_EQ(r.hops, hops);
+                if (hops == 0) {
+                    EXPECT_EQ(r.latency, 0u);
+                    continue;
+                }
+                const sim::Cycles ser =
+                    std::max<sim::Cycles>((bytes + 11) / 12, 1);
+                EXPECT_EQ(r.latency,
+                          clock.cyclesToTicks(hops * p.hopCycles + ser))
+                    << a << "->" << b << ", " << bytes << "B";
+                flit_hops += static_cast<double>((bytes + 5) / 6) * hops;
+            }
+        }
+    }
+    EXPECT_DOUBLE_EQ(mesh.hopFlits(), flit_hops);
+}
+
 TEST(Mesh, BadNodePanics)
 {
     energy::Accountant acct;

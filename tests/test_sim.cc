@@ -1,18 +1,22 @@
 /**
  * @file
- * Unit tests for the simulation substrate: clock domains, deterministic
- * RNG, the stats framework and JSON.
+ * Unit tests for the simulation substrate: clock domains, fixed
+ * divisors, deterministic RNG, the stats framework and JSON.
  */
 
 #include <gtest/gtest.h>
 
 #include "death_helpers.hh"
+#include "src/sim/divisor.hh"
 #include "src/sim/json.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 using namespace distda;
 using sim::Tick;
@@ -44,6 +48,43 @@ TEST_P(ClockDomainFreq, ClockEdgeIsAligned)
 
 INSTANTIATE_TEST_SUITE_P(Freqs, ClockDomainFreq,
                          testing::Values(1.0, 2.0, 3.0, 0.5));
+
+TEST(Divisor, MatchesHardwareDivideOnEveryPath)
+{
+    // Powers of two take the shift/mask path, the rest the hardware
+    // divide; both must agree with / and % everywhere, including
+    // negative values and the edges of the 64-bit ranges.
+    constexpr std::int64_t imax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t imin = std::numeric_limits<std::int64_t>::min();
+    std::vector<std::int64_t> values = {imin, imin + 1, imax - 1, imax,
+                                        -1, 0, 1};
+    for (std::int64_t v = -200; v <= 200; v += 7)
+        values.push_back(v);
+    for (std::int64_t v : {std::int64_t{1} << 62, (std::int64_t{1} << 62) + 5,
+                           imax - 12, imax - 64, imax - 2047})
+        values.push_back(v);
+
+    for (std::uint64_t d :
+         {1u, 2u, 3u, 5u, 6u, 8u, 12u, 64u, 2048u, 16384u}) {
+        const sim::Divisor div(d);
+        EXPECT_EQ(div.value(), d);
+        const auto sd = static_cast<std::int64_t>(d);
+        for (std::int64_t v : values) {
+            const auto u = static_cast<std::uint64_t>(v);
+            EXPECT_EQ(div.div(u), u / d) << u << " / " << d;
+            EXPECT_EQ(div.mod(u), u % d) << u << " % " << d;
+            const std::int64_t q = v / sd; // truncates toward zero
+            const std::int64_t floor = v % sd != 0 && v < 0 ? q - 1 : q;
+            EXPECT_EQ(div.floorDiv(v), floor) << v << " floor/ " << d;
+            EXPECT_EQ(div.divides(v), v % sd == 0) << v << " % " << d;
+        }
+    }
+}
+
+TEST(Divisor, RejectsZero)
+{
+    EXPECT_PANIC((void)sim::Divisor(0), "divisor 0");
+}
 
 TEST(Rng, Deterministic)
 {

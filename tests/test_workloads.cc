@@ -174,3 +174,34 @@ TEST(WorkloadScaling, ScaleChangesProblemSize)
     const auto b = driver::runWorkload("sei", cfg, big);
     EXPECT_GT(b.kernelMemOps, a.kernelMemOps * 2.0);
 }
+
+TEST(Workloads, PointerChaseIsOneCycle)
+{
+    // pch validates against the closed form "n steps from node 0 end
+    // at node 0", which holds only if Sattolo's shuffle built a single
+    // n-cycle. Walk it at quick scale and at the 1024-node minimum.
+    setInformEnabled(false);
+    for (const auto &[scale, n] :
+         {std::pair{0.25, std::uint64_t{1} << 18},
+          std::pair{1e-6, std::uint64_t{1024}}}) {
+        auto wl = workloads::makeWorkload("pch", scale);
+        driver::SystemParams sp;
+        sp.arenaBytes = wl->arenaBytes();
+        driver::System sys(sp);
+        wl->setup(sys);
+        ASSERT_EQ(wl->kernels().at(0)->objects.at(0).elemCount, n);
+
+        std::vector<bool> seen(n, false);
+        std::uint64_t node = 0;
+        for (std::uint64_t step = 0; step < n; ++step) {
+            ASSERT_LT(node, n);
+            ASSERT_FALSE(seen[node]) << "node " << node << " revisited";
+            seen[node] = true;
+            node = static_cast<std::uint64_t>(
+                sys.backend()
+                    .load(sys.objects().addrOf(0, node), 8, false)
+                    .i);
+        }
+        EXPECT_EQ(node, 0u) << "scale " << scale;
+    }
+}
