@@ -1,10 +1,11 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulator's primitives: the
- * cache model, NoC transfers, the multilevel partitioner, kernel
- * compilation and a small end-to-end engine invocation. These guard
- * the simulator's own performance (wall-clock per simulated event),
- * not the paper's metrics.
+ * google-benchmark microbenchmarks of simulator primitives that
+ * perfbench's replay probes do not cover: the multilevel partitioner,
+ * kernel compilation and the sweep thread pool. The cache, NoC and
+ * engine-invocation primitives are measured by perfbench
+ * (`mem.replay.*`, `noc.replay.transfer_ns`,
+ * `engine.replay.invoke_us`) on seeded, digest-checked state.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,55 +14,13 @@
 
 #include "src/compiler/partitioner.hh"
 #include "src/compiler/plan.hh"
-#include "src/driver/context.hh"
 #include "src/driver/pool.hh"
-#include "src/driver/system.hh"
-#include "src/mem/hierarchy.hh"
 #include "src/sim/rng.hh"
 
 using namespace distda;
 
 namespace
 {
-
-void
-BM_CacheAccess(benchmark::State &state)
-{
-    energy::Accountant acct;
-    mem::CacheParams cp;
-    cp.sizeBytes = 32 * 1024;
-    mem::Cache cache(cp, &acct,
-                     mem::Cache::Downstream(
-                         [](void *, mem::Addr, bool, sim::Tick) {
-                             return sim::Tick(20000);
-                         },
-                         nullptr));
-    sim::Rng rng(1);
-    sim::Tick now = 0;
-    for (auto _ : state) {
-        const mem::Addr a = rng.nextBelow(1 << 20) * 8;
-        benchmark::DoNotOptimize(cache.access(a, 8, false, now));
-        now += 500;
-    }
-}
-BENCHMARK(BM_CacheAccess);
-
-void
-BM_MeshTransfer(benchmark::State &state)
-{
-    energy::Accountant acct;
-    noc::Mesh mesh(noc::MeshParams{}, &acct);
-    sim::Rng rng(2);
-    sim::Tick now = 0;
-    for (auto _ : state) {
-        const int src = static_cast<int>(rng.nextBelow(8));
-        const int dst = static_cast<int>(rng.nextBelow(8));
-        benchmark::DoNotOptimize(
-            mesh.transfer(src, dst, 64, noc::TrafficClass::Data, now));
-        now += 1000;
-    }
-}
-BENCHMARK(BM_MeshTransfer);
 
 void
 BM_Partitioner(benchmark::State &state)
@@ -104,25 +63,6 @@ BM_CompileKernel(benchmark::State &state)
         benchmark::DoNotOptimize(compiler::compileKernel(kernel));
 }
 BENCHMARK(BM_CompileKernel);
-
-void
-BM_EngineInvoke(benchmark::State &state)
-{
-    driver::SystemParams sp;
-    sp.arenaBytes = 16 << 20;
-    driver::System sys(sp);
-    auto arr = sys.alloc("A", 1 << 16, 8, true);
-    for (std::uint64_t i = 0; i < arr.count; ++i)
-        arr.setF(i, 1.0);
-    const compiler::Kernel kernel = makeStencilKernel();
-    driver::RunConfig cfg;
-    cfg.model = driver::ArchModel::DistDA_IO;
-    driver::ExecContext ctx(sys, cfg);
-    for (auto _ : state)
-        ctx.invoke(kernel, {arr}, {});
-    state.SetItemsProcessed(state.iterations() * (1 << 10));
-}
-BENCHMARK(BM_EngineInvoke);
 
 void
 BM_ThreadPoolDispatch(benchmark::State &state)

@@ -4,40 +4,45 @@
 #   2. fast static-verification smoke pass over every workload and
 #      config, with the --verify-json reports validated by python3
 #   3. full test suite
-#   4. parallel-sweep determinism smoke (--jobs=1 vs --jobs=N CSV)
+#   4. differential fuzz smoke: a fixed-seed distda_fuzz campaign
+#      plus replay of the committed corpus
+#   5. parallel-sweep determinism smoke (--jobs=1 vs --jobs=N CSV)
 #      plus byte-identity against the committed golden CSV, and the
 #      prefetch, allocation and buffer/channel-override variants
 #      against their golden
-#   5. breakdown/report-diff smoke: golden CSV byte-identical with
+#   6. observability smoke: --timeline and --stats-json outputs
+#      validated by python3, and the golden CSV byte-identical with
+#      --report-dir on
+#   7. breakdown/report-diff smoke: golden CSV byte-identical with
 #      --breakdown on, breakdown JSON validated (conservation, ordered
 #      quantiles), and distda_stats diff of two identical runs is
 #      empty with exit 0
-#   6. plan-analysis smoke: --analyze=json over every workload on
+#   8. plan-analysis smoke: --analyze=json over every workload on
 #      both distributed substrates, validated with python3 (no
 #      violations, affine bounds proven, liveness proven, at least
 #      one memoizable kernel)
-#   7. plan-artifact round trip: dump every plan of the quick sweep
+#   9. plan-artifact round trip: dump every plan of the quick sweep
 #      to a --plan-dir, validate each artifact with distda_plan and
 #      re-run loading from the artifacts — the golden quick-sweep CSV
 #      must stay byte-identical both ways
-#   8. offload-service smoke: distda_serve on a Unix socket under a
+#  10. offload-service smoke: distda_serve on a Unix socket under a
 #      1k-request mixed distda_load replay (zero failures, >=90%
 #      plan-cache hit rate), raw-socket robustness pokes, a served
 #      probe report diffed clean against a direct --stats-json run,
 #      and a SIGINT drain under load that must exit 0
-#   9. quick bench smoke through the sweep engine
-#  10. Release build + perf-regression gate (bench/perf_baseline vs
+#  11. quick bench smoke through the sweep engine
+#  12. Release build + perf-regression gate (bench/perf_baseline vs
 #      the most recent committed BENCH_*.json, via
 #      scripts/perf_check.sh)
-#  11. perfbench self-test: every benchmark job must validate and its
+#  13. perfbench self-test: every benchmark job must validate and its
 #      simulated-stat digest must equal perfbench/reference.txt (the
 #      bit-exactness gate for every fast path)
-#  12. ASan+UBSan and TSan test-suite runs, plus a TSan parallel
-#      sweep smoke
-#  13. clang-tidy (when available): strict over src/verify + src/sim
+#  14. ASan+UBSan and TSan test-suite runs, plus a differential fuzz
+#      smoke under ASan and a TSan parallel sweep smoke
+#  15. clang-tidy (when available): strict over src/verify + src/sim
 #      + src/compiler + src/offload + src/serve (warnings are
 #      errors), advisory elsewhere
-#  14. optionally ($RUN_BENCH=1) regenerate every table/figure
+#  16. optionally ($RUN_BENCH=1) regenerate every table/figure
 set -e
 cd "$(dirname "$0")/.."
 

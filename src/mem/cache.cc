@@ -1,7 +1,6 @@
 #include "src/mem/cache.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "src/sim/logging.hh"
 #include "src/sim/probe.hh"
@@ -49,16 +48,19 @@ Cache::setIndex(Addr line_addr) const
 }
 
 Cache::Line *
-Cache::findLine(Addr line_addr)
+Cache::findIn(Line *set, Addr tag) const
 {
-    const std::size_t set = setIndex(line_addr);
-    const Addr tag = lineNum(line_addr);
     for (int w = 0; w < _params.assoc; ++w) {
-        Line &line = _lines[set * _params.assoc + w];
-        if (line.valid && line.tag == tag)
-            return &line;
+        if (set[w].tag == tag)
+            return &set[w];
     }
     return nullptr;
+}
+
+Cache::Line *
+Cache::findLine(Addr line_addr)
+{
+    return findIn(setOf(line_addr), lineNum(line_addr));
 }
 
 const Cache::Line *
@@ -73,48 +75,43 @@ Cache::contains(Addr addr) const
     return findLine(lineAlign(addr)) != nullptr;
 }
 
+Cache::Line *
+Cache::victimIn(Line *set) const
+{
+    // Strict < keeps the first minimum. Never-filled ways hold stamp 0
+    // and every fill or hit stamps ++_lruTick >= 1, so this is "first
+    // never-filled way, else first LRU line".
+    int way = 0;
+    std::uint64_t oldest = set[0].lru;
+    for (int w = 1; w < _params.assoc; ++w) {
+        const std::uint64_t stamp = set[w].lru;
+        const bool older = stamp < oldest;
+        way = older ? w : way;
+        oldest = older ? stamp : oldest;
+    }
+    return &set[way];
+}
+
 CacheResult
 Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
 {
-    _accesses += 1.0;
+    ++_accesses;
     if (_acct)
         _acct->addEvents(_params.component, 1.0);
 
     // MRU filter: skip the set walk when the last-hit line matches.
     const Addr tag = lineNum(line_addr);
-    Line *line = nullptr;
-    Line *victim = nullptr;
-    if (_mru && _mru->valid && _mru->tag == tag) {
-        line = _mru;
-    } else {
-        // One walk serves both lookups: find the tag, and remember the
-        // victim (first invalid way, else first-encountered LRU
-        // minimum) in case this is a miss.
-        Line *const set = &_lines[setIndex(line_addr) *
-                                  static_cast<std::size_t>(_params.assoc)];
-        bool invalid_victim = false;
-        for (int w = 0; w < _params.assoc; ++w) {
-            Line &l = set[w];
-            if (l.valid && l.tag == tag) {
-                line = &l;
-                break;
-            }
-            if (!l.valid) {
-                if (!invalid_victim) {
-                    victim = &l;
-                    invalid_victim = true;
-                }
-            } else if (!invalid_victim &&
-                       (!victim || l.lru < victim->lru)) {
-                victim = &l;
-            }
-        }
+    Line *line = _mru;
+    Line *set = nullptr;
+    if (!line || line->tag != tag) {
+        set = setOf(line_addr);
+        line = findIn(set, tag);
     }
 
     if (line) {
-        _hits += 1.0;
+        ++_hits;
         if (line->prefetched) {
-            _prefetchHits += 1.0;
+            ++_prefetchHits;
             line->prefetched = false;
         }
         _mru = line;
@@ -126,20 +123,29 @@ Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
         return CacheResult{true, _tagLat};
     }
 
-    _misses += 1.0;
+    ++_misses;
 
-    // Occupy the earliest-free MSHR; queue when all busy. _mshrFree is
-    // a min-heap on completion time, so the earliest slot is the root
-    // rather than a linear scan over every slot.
-    std::pop_heap(_mshrFree.begin(), _mshrFree.end(),
-                  std::greater<sim::Tick>());
-    const sim::Tick start = std::max(now + _tagLat, _mshrFree.back());
-    const sim::Tick fill_lat = fillVictim(
-        victim, line_addr, write && _params.writeback, start, true);
-    const sim::Tick done = start + fill_lat;
-    _mshrFree.back() = done;
-    std::push_heap(_mshrFree.begin(), _mshrFree.end(),
-                   std::greater<sim::Tick>());
+    // Occupy the earliest-free MSHR, the ring's head; queue when all
+    // are busy. Its slot becomes the tail.
+    const std::size_t n = _mshrFree.size();
+    std::size_t slot = _mshrHead;
+    const sim::Tick start = std::max(now + _tagLat, _mshrFree[slot]);
+    _mshrHead = slot + 1 == n ? 0 : slot + 1;
+    const sim::Tick done =
+        start + fillVictim(victimIn(set), line_addr,
+                           write && _params.writeback, start, true);
+    // Sort the completion tick in from the tail. Completions mostly
+    // grow, so it rarely passes a later tick; it moves further when
+    // decoupled callers issue behind `now` or downstream latencies
+    // differ.
+    while (slot != _mshrHead) {
+        const std::size_t prev = (slot == 0 ? n : slot) - 1;
+        if (_mshrFree[prev] <= done)
+            break;
+        _mshrFree[slot] = _mshrFree[prev];
+        slot = prev;
+    }
+    _mshrFree[slot] = done;
 
     if (_probe) {
         _probe->span(_probeTrack, "miss", start, done);
@@ -156,29 +162,17 @@ Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
 sim::Tick
 Cache::fill(Addr line_addr, bool dirty, sim::Tick now, bool count_demand)
 {
-    const std::size_t set = setIndex(line_addr);
-
-    // Victim selection: invalid way first, then LRU.
-    Line *victim = nullptr;
-    for (int w = 0; w < _params.assoc; ++w) {
-        Line &line = _lines[set * _params.assoc + w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (!victim || line.lru < victim->lru)
-            victim = &line;
-    }
-
-    return fillVictim(victim, line_addr, dirty, now, count_demand);
+    return fillVictim(victimIn(setOf(line_addr)), line_addr, dirty, now,
+                      count_demand);
 }
 
 sim::Tick
 Cache::fillVictim(Line *victim, Addr line_addr, bool dirty, sim::Tick now,
                   bool count_demand)
 {
-    if (victim->valid && victim->dirty) {
-        _writebacks += 1.0;
+    // Only filled lines become dirty, so this needs no filled check.
+    if (victim->dirty) {
+        ++_writebacks;
         // Writeback is off the critical path; latency discarded.
         _downstream(victim->tag * lineBytes, true, now);
     }
@@ -186,7 +180,6 @@ Cache::fillVictim(Line *victim, Addr line_addr, bool dirty, sim::Tick now,
     const sim::Tick miss_lat = _downstream(line_addr, false, now);
 
     victim->tag = lineNum(line_addr);
-    victim->valid = true;
     victim->dirty = dirty;
     victim->prefetched = !count_demand;
     victim->lru = ++_lruTick;
@@ -233,7 +226,7 @@ Cache::prefetch(Addr line_addr, sim::Tick now)
         const Addr target_addr = static_cast<Addr>(target) * lineBytes;
         if (findLine(target_addr))
             continue;
-        _prefetches += 1.0;
+        ++_prefetches;
         if (_acct)
             _acct->addEvents(_params.component, 1.0);
         // Prefetch fills are off the demand critical path.
@@ -245,12 +238,12 @@ void
 Cache::exportStats(stats::Group &group) const
 {
     const std::string p = _params.name + ".";
-    group.add(p + "accesses") = _accesses;
-    group.add(p + "hits") = _hits;
-    group.add(p + "misses") = _misses;
-    group.add(p + "writebacks") = _writebacks;
-    group.add(p + "prefetches") = _prefetches;
-    group.add(p + "prefetch_hits") = _prefetchHits;
+    group.add(p + "accesses") = accesses();
+    group.add(p + "hits") = hits();
+    group.add(p + "misses") = misses();
+    group.add(p + "writebacks") = writebacks();
+    group.add(p + "prefetches") = prefetchesIssued();
+    group.add(p + "prefetch_hits") = prefetchHits();
 }
 
 } // namespace distda::mem

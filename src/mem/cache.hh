@@ -9,6 +9,11 @@
  * latency is accumulated along the walk through lower levels. MSHRs
  * bound the memory-level parallelism: a miss occupies the
  * earliest-free MSHR and queues when all are busy.
+ *
+ * The miss path avoids data-dependent branches (DESIGN.md §4): the
+ * MSHR free times are a sorted ring and the victim is the first
+ * argmin of the set's LRU stamps, where a never-filled way has stamp
+ * 0 and tag ~0.
  */
 
 #ifndef DISTDA_MEM_CACHE_HH
@@ -146,13 +151,21 @@ class Cache
     /** True when the line containing @p addr is resident. */
     bool contains(Addr addr) const;
 
-    double accesses() const { return _accesses; }
-    double hits() const { return _hits; }
-    double misses() const { return _misses; }
-    double writebacks() const { return _writebacks; }
-    double prefetchesIssued() const { return _prefetches; }
+    double accesses() const { return static_cast<double>(_accesses); }
+    double hits() const { return static_cast<double>(_hits); }
+    double misses() const { return static_cast<double>(_misses); }
+    double writebacks() const { return static_cast<double>(_writebacks); }
+    double
+    prefetchesIssued() const
+    {
+        return static_cast<double>(_prefetches);
+    }
     /** Demand hits whose line was brought in by the prefetcher. */
-    double prefetchHits() const { return _prefetchHits; }
+    double
+    prefetchHits() const
+    {
+        return static_cast<double>(_prefetchHits);
+    }
 
     void exportStats(stats::Group &group) const;
 
@@ -173,11 +186,14 @@ class Cache
   private:
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
+        /** Line number; ~0 (which no line number reaches) until the
+         *  way is first filled. Lines are never invalidated. */
+        Addr tag = ~Addr(0);
         bool dirty = false;
         bool prefetched = false; ///< filled by the prefetcher, no
                                  ///< demand hit yet
+        /** Stamp of the last touch; 0 until the way is first filled,
+         *  since _lruTick is pre-incremented. */
         std::uint64_t lru = 0;
     };
 
@@ -191,6 +207,25 @@ class Cache
     /** Fill into a pre-selected victim way (no victim scan). */
     sim::Tick fillVictim(Line *victim, Addr line_addr, bool dirty,
                          sim::Tick now, bool count_demand);
+
+    /** First way of the set @p line_addr maps to. */
+    Line *
+    setOf(Addr line_addr)
+    {
+        return &_lines[setIndex(line_addr) *
+                       static_cast<std::size_t>(_params.assoc)];
+    }
+
+    /** The way of @p set holding @p tag, or null. */
+    Line *findIn(Line *set, Addr tag) const;
+
+    /**
+     * The replacement victim of @p set: the first way with the
+     * smallest LRU stamp. That is the first never-filled way (stamp
+     * 0) if there is one, else the least recently used line. Picked
+     * with conditional moves, not branches.
+     */
+    Line *victimIn(Line *set) const;
 
     std::size_t setIndex(Addr line_addr) const;
     Line *findLine(Addr line_addr);
@@ -207,14 +242,21 @@ class Cache
     sim::Divisor _sets; ///< _numSets, masked when a power of two
     sim::Tick _tagLat; ///< tag/hit latency in ticks, fixed per cache
     std::vector<Line> _lines;          ///< numSets * assoc entries
-    std::vector<sim::Tick> _mshrFree;  ///< next-free ticks, min-heap
+    /**
+     * MSHR next-free ticks as a ring sorted ascending from _mshrHead:
+     * the earliest-free MSHR is _mshrFree[_mshrHead]. A miss takes it,
+     * advances the head and sorts its completion tick in from the
+     * tail, which is almost always already in place.
+     */
+    std::vector<sim::Tick> _mshrFree;
+    std::size_t _mshrHead = 0;
     std::uint64_t _lruTick = 0;
     /**
      * One-entry MRU filter in front of the tag walk: sequential
      * streams hit the same line repeatedly, so most lookups resolve
      * with one compare. Tags are full line numbers (unique across the
      * cache) and _lines never reallocates, so a stale pointer
-     * self-invalidates via the valid+tag check.
+     * self-invalidates via the tag check.
      */
     Line *_mru = nullptr;
 
@@ -227,8 +269,8 @@ class Cache
     };
     std::vector<StrideEntry> _strideTable;
 
-    double _accesses = 0, _hits = 0, _misses = 0, _writebacks = 0;
-    double _prefetches = 0, _prefetchHits = 0;
+    std::uint64_t _accesses = 0, _hits = 0, _misses = 0, _writebacks = 0;
+    std::uint64_t _prefetches = 0, _prefetchHits = 0;
 
     sim::Probe *_probe = nullptr;
     int _probeTrack = -1;

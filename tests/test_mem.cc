@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "death_helpers.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/dram.hh"
@@ -194,6 +197,131 @@ TEST(Cache, PrefetchHitsCountOncePerPrefetchedLine)
     EXPECT_EQ(cache.prefetchHits(), before + 1.0);
     cache.access(7 * 64, 8, false, now + 100000);
     EXPECT_EQ(cache.prefetchHits(), before + 1.0); // not recounted
+}
+
+TEST(Cache, MshrRingMatchesAMinHeap)
+{
+    // The sorted MSHR ring must hold exactly the multiset a min-heap
+    // of free times would, so every miss starts when the heap's
+    // earliest slot frees. Decoupled actors issue with `now` running
+    // backwards as well as forwards, and each fill's latency differs,
+    // so completion ticks arrive out of order.
+    struct RandomDownstream
+    {
+        sim::Rng rng{7};
+        sim::Tick last = 0;
+
+        sim::Tick
+        operator()(Addr, bool, sim::Tick)
+        {
+            last = 1000 + rng.nextBelow(60000);
+            return last;
+        }
+    };
+
+    for (const int mshrs : {1, 2, 3, 32, 64}) {
+        SCOPED_TRACE(mshrs);
+        energy::Accountant acct;
+        RandomDownstream down;
+        mem::CacheParams p = smallCache();
+        p.mshrs = mshrs;
+        mem::Cache cache(p, &acct, mem::Cache::Downstream::of(down));
+        const sim::Tick tag_lat =
+            sim::ClockDomain(p.clockHz).cyclesToTicks(p.latencyCycles);
+
+        // Reference: the min-heap of MSHR free times.
+        std::vector<sim::Tick> heap(static_cast<std::size_t>(mshrs), 0);
+        sim::Rng rng(static_cast<std::uint64_t>(mshrs));
+        sim::Tick now = 100'000'000;
+        for (Addr line = 0; line < 4000; ++line) {
+            now = now + rng.nextBelow(20000) - 9000;
+            // Every line is new, so every access misses and fills.
+            const mem::CacheResult r =
+                cache.access(line * 64, 8, false, now);
+            ASSERT_FALSE(r.hit);
+
+            std::pop_heap(heap.begin(), heap.end(),
+                          std::greater<sim::Tick>());
+            const sim::Tick start = std::max(now + tag_lat, heap.back());
+            const sim::Tick done = start + down.last;
+            heap.back() = done;
+            std::push_heap(heap.begin(), heap.end(),
+                           std::greater<sim::Tick>());
+            ASSERT_EQ(r.latency, done - now) << "miss " << line;
+        }
+    }
+}
+
+TEST(Cache, VictimIsFirstUnfilledWayThenLru)
+{
+    // Three ways, so the associativity is not a power of two; 4 sets,
+    // so lines 0, 4, 8, ... and 64 (another 4 KiB prefetch region)
+    // all map to set 0.
+    mem::CacheParams p = smallCache();
+    p.sizeBytes = 4 * 3 * 64;
+    p.assoc = 3;
+    p.prefetchDegree = 1;
+    const auto line = [](Addr n) { return n * 64; };
+
+    // No resident line is evicted while the set has a never-filled
+    // way, however recently it was used.
+    {
+        energy::Accountant acct;
+        FakeDownstream down;
+        mem::Cache cache(p, &acct, down.fn());
+        cache.access(line(0), 8, false, 0);
+        cache.access(line(0), 8, false, 100000);
+        cache.access(line(4), 8, false, 200000);
+        cache.access(line(0), 8, false, 300000);
+        cache.access(line(8), 8, false, 400000);
+        EXPECT_TRUE(cache.contains(line(0)));
+        EXPECT_TRUE(cache.contains(line(4)));
+        EXPECT_TRUE(cache.contains(line(8)));
+
+        // Once the set is full, misses evict the least recently used
+        // line: 4, then 0; touching 8 spares it, so 12 goes next.
+        cache.access(line(12), 8, false, 500000);
+        EXPECT_FALSE(cache.contains(line(4)));
+        cache.access(line(16), 8, false, 600000);
+        EXPECT_FALSE(cache.contains(line(0)));
+        cache.access(line(8), 8, false, 700000);
+        cache.access(line(20), 8, false, 800000);
+        EXPECT_FALSE(cache.contains(line(12)));
+        EXPECT_TRUE(cache.contains(line(8)));
+        EXPECT_TRUE(cache.contains(line(16)));
+        EXPECT_TRUE(cache.contains(line(20)));
+    }
+
+    // A prefetch fill evicts the line a demand miss would. The
+    // +4-line stream 0, 4, 8, 12 trains the prefetcher, which then
+    // fetches line 16; the other cache demand-reads 16 instead. Line
+    // 64 (its own region) is re-touched so the LRU line, 8, sits in
+    // the middle way.
+    const auto drive = [&](mem::Cache &cache, bool demand_16) {
+        sim::Tick now = 0;
+        for (const Addr n : {64, 0, 4, 64, 8, 64, 12}) {
+            cache.access(line(n), 8, false, now);
+            now += 100000;
+        }
+        if (demand_16)
+            cache.access(line(16), 8, false, now);
+    };
+    energy::Accountant acct;
+    FakeDownstream down_pf, down_demand;
+    mem::CacheParams pf_params = p;
+    pf_params.stridePrefetch = true;
+    mem::Cache prefetching(pf_params, &acct, down_pf.fn());
+    mem::Cache demand(p, &acct, down_demand.fn());
+    drive(prefetching, false);
+    drive(demand, true);
+    EXPECT_EQ(prefetching.prefetchesIssued(), 1.0);
+    for (const Addr n : {0, 4, 8, 12, 16, 64}) {
+        SCOPED_TRACE(n);
+        EXPECT_EQ(prefetching.contains(line(n)),
+                  demand.contains(line(n)));
+    }
+    EXPECT_FALSE(prefetching.contains(line(8)));
+    EXPECT_TRUE(prefetching.contains(line(16)));
 }
 
 TEST(Cache, SetHashSpreadsInterleavedPages)
