@@ -1,6 +1,7 @@
 #include "src/accel/access_unit.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <limits>
 
@@ -46,6 +47,25 @@ StreamUnit::StreamUnit(const StreamParams &params, MemPort port,
         static_cast<std::int64_t>(
             std::max<std::uint64_t>(params.totalElems, 1)) -
         1);
+    // Size the ring for the usual window: at most _capacityChunks + 2
+    // chunks while eviction is allowed, and no more than the stream's
+    // chunks plus the one a trailing tap starts in. grow() doubles it
+    // for the protected windows that outgrow that.
+    _ring.resize(std::bit_ceil(static_cast<std::uint64_t>(
+        std::min(_capacityChunks + 3, _lastChunk + 2))));
+    _ringMask = _ring.size() - 1;
+    if (!_sameCluster) {
+        const int unit = params.unitCluster;
+        const int consumer = params.consumerCluster;
+        _readData = mesh->route(unit, consumer, params.elemBytes,
+                                noc::TrafficClass::AccData);
+        _readCredit =
+            mesh->route(consumer, unit, 8, noc::TrafficClass::AccCtrl);
+        _postData = mesh->route(consumer, unit, params.elemBytes,
+                                noc::TrafficClass::AccData);
+        _postCredit =
+            mesh->route(unit, consumer, 8, noc::TrafficClass::AccCtrl);
+    }
     updateFastBounds();
 }
 
@@ -71,7 +91,6 @@ StreamUnit::grow(std::int64_t c, sim::Tick now, bool fetch)
         const sim::Tick lat = _port(chunkAddr(c), _fetchBytes, false,
                                     issue);
         ch.ready = issue + lat;
-        ch.fetched = true;
         _fsmNow = issue + _params.cycleTick;
         _stats->daBytes += _fetchBytes;
         _stats->bufferAccesses += elemsPerFetch();
@@ -83,41 +102,46 @@ StreamUnit::grow(std::int64_t c, sim::Tick now, bool fetch)
     } else {
         ch.ready = now;
     }
-    if (_window.empty()) {
-        _loChunk = c;
-        _hiChunk = c + 1;
-        _window.push_back(ch);
-    } else if (c == _hiChunk) {
-        _window.push_back(ch);
-        ++_hiChunk;
-    } else if (c == _loChunk - 1) {
-        _window.push_front(ch);
-        --_loChunk;
-    } else {
+    if (windowEmpty())
+        _loChunk = _hiChunk = c;
+    if (c != _hiChunk && c != _loChunk - 1) {
         panic("stream window grow at %lld outside [%lld,%lld)",
               static_cast<long long>(c),
               static_cast<long long>(_loChunk),
               static_cast<long long>(_hiChunk));
     }
+    if (static_cast<std::uint64_t>(_hiChunk - _loChunk) == _ring.size()) {
+        // A protected window outgrew the ring: double it before the
+        // new chunk would wrap onto the oldest one.
+        std::vector<Chunk> bigger(_ring.size() * 2);
+        const std::size_t mask = bigger.size() - 1;
+        for (std::int64_t r = _loChunk; r < _hiChunk; ++r)
+            bigger[static_cast<std::size_t>(r) & mask] = chunk(r);
+        _ring.swap(bigger);
+        _ringMask = mask;
+    }
+    chunk(c) = ch;
+    if (c == _hiChunk)
+        ++_hiChunk;
+    else
+        --_loChunk;
     updateFastBounds();
 }
 
 void
 StreamUnit::evictFront(sim::Tick now)
 {
-    Chunk &ch = _window.front();
-    if (ch.dirty) {
+    if (chunk(_loChunk).dirty) {
         const sim::Tick issue = std::max(_fsmNow, now);
         const sim::Tick lat =
             _port(chunkAddr(_loChunk), _fetchBytes, true, issue);
         _fsmNow = issue + _params.cycleTick;
-        _drainDone.push_back(issue + lat);
+        _drainDone = std::max(_drainDone, issue + lat);
         _stats->daBytes += _fetchBytes;
         _stats->bufferAccesses += elemsPerFetch();
         if (_probe)
             _probe->span(_probeTrack, "drain", issue, issue + lat);
     }
-    _window.pop_front();
     ++_loChunk;
     updateFastBounds();
 }
@@ -125,19 +149,18 @@ StreamUnit::evictFront(sim::Tick now)
 void
 StreamUnit::ensure(std::int64_t c, sim::Tick now, bool fetch)
 {
-    if (!_window.empty() && c >= _loChunk && c < _hiChunk)
+    if (!windowEmpty() && c >= _loChunk && c < _hiChunk)
         return;
     // Grow toward c, evicting from the front when capacity is hit.
     // Reusable window space — chunks a trailing tap still needs — is
     // protected by the eviction bound.
     const std::int64_t protect = chunkOf(_leadK - _maxTapDistance);
-    while (_window.empty() || c >= _hiChunk) {
-        if (!_window.empty() &&
-            _hiChunk - _loChunk >= _capacityChunks &&
+    while (windowEmpty() || c >= _hiChunk) {
+        if (!windowEmpty() && _hiChunk - _loChunk >= _capacityChunks &&
             _loChunk < protect) {
             evictFront(now);
         }
-        grow(_window.empty() ? c : _hiChunk, now, fetch);
+        grow(windowEmpty() ? c : _hiChunk, now, fetch);
         if (_hiChunk - _loChunk > _capacityChunks + 2 &&
             _loChunk < protect) {
             evictFront(now);
@@ -148,31 +171,10 @@ StreamUnit::ensure(std::int64_t c, sim::Tick now, bool fetch)
 }
 
 sim::Tick
-StreamUnit::readAt(std::int64_t k, sim::Tick consumer_now,
-                   std::int64_t tap_distance)
+StreamUnit::readMiss(std::int64_t k, sim::Tick consumer_now,
+                     std::int64_t tap_distance)
 {
-    DISTDA_ASSERT(_params.hasLoads, "readAt on a store-only stream");
-    const std::int64_t eff_k = k - tap_distance;
-
-    // Steady-state fast path: a same-cluster in-window read whose lead
-    // is far enough behind the fill FSM that ensure() and the
-    // lookahead loop below are provably no-ops. Everything observable
-    // — stats, _leadK, the returned tick — matches the general path
-    // exactly; only the skipped work is work that would do nothing.
-    if (_sameCluster && tap_distance <= _maxTapDistance &&
-        eff_k >= _winLoK && eff_k < _winHiK && k < _fastLeadLimitK &&
-        _leadK < _fastLeadLimitK) {
-        if (k > _leadK)
-            _leadK = k;
-        _stats->intraBytes += _params.elemBytes;
-        _stats->bufferAccesses += 1.0;
-        const sim::Tick ready =
-            _window[static_cast<std::size_t>(chunkOf(eff_k) - _loChunk)]
-                .ready;
-        return ready > consumer_now ? ready : consumer_now;
-    }
-
-    const std::int64_t c = chunkOf(eff_k);
+    const std::int64_t c = chunkOf(k - tap_distance);
 
     _maxTapDistance = std::max(_maxTapDistance, tap_distance);
     _leadK = std::max(_leadK, k);
@@ -194,75 +196,29 @@ StreamUnit::readAt(std::int64_t k, sim::Tick consumer_now,
         grow(_hiChunk, consumer_now, true);
     }
 
-    sim::Tick ready = chunk(c).ready;
-
-    _stats->intraBytes += _params.elemBytes;
-    _stats->bufferAccesses += 1.0;
-
-    if (_params.unitCluster != _params.consumerCluster) {
-        // Decentralized access unit proactively forwarding the operand
-        // to the remote compute node's buffer (Mono-DA): the push
-        // starts as soon as the element is in the unit's buffer, so a
-        // prefetched element hides the hop latency; the consumer's
-        // pointer-step/credit return rides back as control traffic.
-        auto xfer = _mesh->transfer(
-            _params.unitCluster, _params.consumerCluster,
-            _params.elemBytes, noc::TrafficClass::AccData, ready);
-        // Credits return batched at chunk granularity.
-        if (_perFetch.divides(eff_k)) {
-            _mesh->transfer(_params.consumerCluster,
-                            _params.unitCluster, 8,
-                            noc::TrafficClass::AccCtrl, ready);
-            _stats->aaBytes += 8.0;
-        }
-        ready += xfer.latency;
-        _stats->aaBytes += _params.elemBytes;
-        _stats->intraBytes += _params.elemBytes; // consumer-side buffer
-        _stats->bufferAccesses += 1.0;
-    }
-
-    return std::max(ready, consumer_now);
+    // Only a lead moving backwards between rewinds could have evicted
+    // c; the engine's iterations never do.
+    DISTDA_ASSERT(c >= _loChunk && c < _hiChunk,
+                  "stream read of chunk %lld outside the window "
+                  "[%lld,%lld)",
+                  static_cast<long long>(c),
+                  static_cast<long long>(_loChunk),
+                  static_cast<long long>(_hiChunk));
+    return std::max(consumed(k - tap_distance), consumer_now);
 }
 
 sim::Tick
-StreamUnit::writeAt(std::int64_t k, sim::Tick now,
-                    std::int64_t tap_distance)
+StreamUnit::forward(const noc::Mesh::Route &data,
+                    const noc::Mesh::Route &credit, std::int64_t eff_k,
+                    sim::Tick t)
 {
-    DISTDA_ASSERT(_params.hasStores, "writeAt on a load-only stream");
-    const std::int64_t eff_k = k - tap_distance;
-    const std::int64_t c = chunkOf(eff_k);
-    sim::Tick t = now;
-
-    _maxTapDistance = std::max(_maxTapDistance, tap_distance);
-    _leadK = std::max(_leadK, k);
-
-    if (_params.unitCluster != _params.consumerCluster) {
-        // Compute node posts the value to the remote access unit (the
-        // credit protocol guarantees space, so the store is off the
-        // critical path); the buffer credit returns as control.
-        _mesh->transfer(_params.consumerCluster, _params.unitCluster,
-                        _params.elemBytes, noc::TrafficClass::AccData,
-                        t);
-        // Credits return batched at chunk granularity.
-        if (_perFetch.divides(eff_k)) {
-            _mesh->transfer(_params.unitCluster,
-                            _params.consumerCluster, 8,
-                            noc::TrafficClass::AccCtrl, t);
-            _stats->aaBytes += 8.0;
-        }
-        _stats->aaBytes += _params.elemBytes;
+    const noc::TransferResult xfer = _mesh->send(data, t);
+    if (_perFetch.divides(eff_k)) {
+        _mesh->send(credit, t);
+        _stats->aaBytes += 8.0;
     }
-
-    // Combined load/store buffers fetch on a write miss (the loads
-    // need the rest of the chunk); store-only buffers write-allocate
-    // without fetching.
-    ensure(c, t, _params.hasLoads);
-    chunk(c).dirty = true;
-
-    _stats->intraBytes += _params.elemBytes;
-    _stats->bufferAccesses += 1.0;
-
-    return t;
+    _stats->aaBytes += data.bytes;
+    return t + xfer.latency;
 }
 
 sim::Tick
@@ -276,17 +232,15 @@ StreamUnit::flush(sim::Tick now)
         const sim::Tick lat =
             _port(chunkAddr(c), _fetchBytes, true, issue);
         _fsmNow = issue + _params.cycleTick;
-        _drainDone.push_back(issue + lat);
+        _drainDone = std::max(_drainDone, issue + lat);
         _stats->daBytes += _fetchBytes;
         _stats->bufferAccesses += elemsPerFetch();
         if (_probe)
             _probe->span(_probeTrack, "drain", issue, issue + lat);
         ch.dirty = false;
     }
-    sim::Tick done = now;
-    for (sim::Tick t : _drainDone)
-        done = std::max(done, t);
-    _drainDone.clear();
+    const sim::Tick done = std::max(now, _drainDone);
+    _drainDone = 0;
     return done;
 }
 
@@ -295,10 +249,9 @@ StreamUnit::rewind(sim::Tick now)
 {
     const std::int64_t first_c = chunkOf(-_maxTapDistance);
     const bool fully_resident =
-        !_window.empty() && _loChunk <= first_c && _hiChunk > _lastChunk;
+        !windowEmpty() && _loChunk <= first_c && _hiChunk > _lastChunk;
     if (!fully_resident) {
         flush(now);
-        _window.clear();
         _loChunk = _hiChunk = 0;
         updateFastBounds();
     }
@@ -306,10 +259,9 @@ StreamUnit::rewind(sim::Tick now)
     _maxTapDistance = 0;
 }
 
-RandomUnit::RandomUnit(int cluster, MemPort port, AccessStats *stats,
+RandomUnit::RandomUnit(MemPort port, AccessStats *stats,
                        sim::Tick cycle_tick)
-    : _cluster(cluster), _port(std::move(port)), _stats(stats),
-      _cycleTick(cycle_tick)
+    : _port(std::move(port)), _stats(stats), _cycleTick(cycle_tick)
 {
 }
 

@@ -24,10 +24,11 @@
 #define DISTDA_ACCEL_ACCESS_UNIT_HH
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "src/compiler/dfg.hh"
 #include "src/mem/hierarchy.hh"
+#include "src/noc/mesh.hh"
 #include "src/sim/divisor.hh"
 #include "src/sim/ticks.hh"
 
@@ -131,13 +132,66 @@ class StreamUnit
      * Read element for iteration @p k through a tap @p tap_distance
      * behind the lead tap. Returns the tick the value reaches the
      * consumer (>= @p consumer_now).
+     *
+     * Inline steady-state fast path: an in-window read whose lead is
+     * far enough behind the fill FSM that ensure() and the lookahead
+     * loop of readMiss() are provably no-ops. Everything observable —
+     * stats, _leadK, mesh traffic, the returned tick — matches the
+     * general path exactly; only the skipped work is work that would
+     * do nothing.
      */
-    sim::Tick readAt(std::int64_t k, sim::Tick consumer_now,
-                     std::int64_t tap_distance);
+    sim::Tick
+    readAt(std::int64_t k, sim::Tick consumer_now,
+           std::int64_t tap_distance)
+    {
+        DISTDA_ASSERT(_params.hasLoads, "readAt on a store-only stream");
+        const std::int64_t eff_k = k - tap_distance;
+        if (tap_distance <= _maxTapDistance && eff_k >= _winLoK &&
+            eff_k < _winHiK && k < _fastLeadLimitK &&
+            _leadK < _fastLeadLimitK) {
+            if (k > _leadK)
+                _leadK = k;
+            const sim::Tick ready = consumed(eff_k);
+            return ready > consumer_now ? ready : consumer_now;
+        }
+        return readMiss(k, consumer_now, tap_distance);
+    }
 
-    /** Write through a tap; marks the chunk dirty for the drain FSM. */
-    sim::Tick writeAt(std::int64_t k, sim::Tick now,
-                      std::int64_t tap_distance);
+    /**
+     * Write through a tap; marks the chunk dirty for the drain FSM.
+     * Inline: an in-window write skips ensure(), which would return
+     * at once.
+     */
+    sim::Tick
+    writeAt(std::int64_t k, sim::Tick now, std::int64_t tap_distance)
+    {
+        DISTDA_ASSERT(_params.hasStores, "writeAt on a load-only stream");
+        const std::int64_t eff_k = k - tap_distance;
+        if (tap_distance > _maxTapDistance)
+            _maxTapDistance = tap_distance;
+        if (k > _leadK)
+            _leadK = k;
+
+        if (!_sameCluster) {
+            // Compute node posts the value to the remote access unit
+            // (the credit protocol guarantees space, so the store is
+            // off the critical path); the buffer credit returns as
+            // control.
+            forward(_postData, _postCredit, eff_k, now);
+        }
+
+        // Combined load/store buffers fetch on a write miss (the loads
+        // need the rest of the chunk); store-only buffers
+        // write-allocate without fetching.
+        const std::int64_t c = chunkOf(eff_k);
+        if (eff_k < _winLoK || eff_k >= _winHiK)
+            ensure(c, now, _params.hasLoads);
+        chunk(c).dirty = true;
+
+        _stats->intraBytes += _params.elemBytes;
+        _stats->bufferAccesses += 1.0;
+        return now;
+    }
 
     /** Drain dirty chunks (window stays resident); returns completion. */
     sim::Tick flush(sim::Tick now);
@@ -157,15 +211,11 @@ class StreamUnit
         return static_cast<std::int64_t>(_perFetch.value());
     }
 
-    /** Chunks currently resident. */
-    std::int64_t residentChunks() const { return _hiChunk - _loChunk; }
-
   private:
     struct Chunk
     {
         sim::Tick ready = 0;
         bool dirty = false;
-        bool fetched = false;
     };
 
     std::int64_t
@@ -182,6 +232,59 @@ class StreamUnit
             c * elemsPerFetch() * _params.strideBytes);
     }
 
+    /**
+     * Resident chunk @p c. The window [_loChunk, _hiChunk) lives in a
+     * power-of-two ring at slot c & mask; grow() doubles the ring
+     * before the window would wrap onto itself, so distinct resident
+     * chunks never share a slot (negative chunks wrap like any other).
+     */
+    Chunk &
+    chunk(std::int64_t c)
+    {
+        return _ring[static_cast<std::size_t>(c) & _ringMask];
+    }
+
+    bool windowEmpty() const { return _loChunk == _hiChunk; }
+
+    /**
+     * Count one buffer read of resident element @p eff_k and return
+     * when it is ready at the consumer, forwarding it first when the
+     * consumer is remote.
+     */
+    sim::Tick
+    consumed(std::int64_t eff_k)
+    {
+        _stats->intraBytes += _params.elemBytes;
+        _stats->bufferAccesses += 1.0;
+        sim::Tick ready = chunk(chunkOf(eff_k)).ready;
+        if (!_sameCluster) {
+            // Decentralized access unit proactively forwarding the
+            // operand to the remote compute node's buffer (Mono-DA):
+            // the push starts as soon as the element is in the unit's
+            // buffer, so a prefetched element hides the hop latency;
+            // the consumer's pointer-step/credit return rides back as
+            // control traffic.
+            ready = forward(_readData, _readCredit, eff_k, ready);
+            _stats->intraBytes += _params.elemBytes; // consumer buffer
+            _stats->bufferAccesses += 1.0;
+        }
+        return ready;
+    }
+
+    /**
+     * Mono-DA traffic for element @p eff_k: one packet along @p data at
+     * @p t, plus a credit along @p credit when the element opens a
+     * chunk (credits return batched at chunk granularity). Returns the
+     * data packet's delivery tick.
+     */
+    sim::Tick forward(const noc::Mesh::Route &data,
+                      const noc::Mesh::Route &credit, std::int64_t eff_k,
+                      sim::Tick t);
+
+    /** readAt() off the fast path: fill, lookahead and forwarding. */
+    sim::Tick readMiss(std::int64_t k, sim::Tick consumer_now,
+                       std::int64_t tap_distance);
+
     /** Make chunk @p c resident (fetching when loads need data). */
     void ensure(std::int64_t c, sim::Tick now, bool fetch);
 
@@ -197,11 +300,6 @@ class StreamUnit
      */
     void updateFastBounds();
 
-    Chunk &chunk(std::int64_t c)
-    {
-        return _window[static_cast<std::size_t>(c - _loChunk)];
-    }
-
     StreamParams _params;
     MemPort _port;
     noc::Mesh *_mesh;
@@ -216,31 +314,39 @@ class StreamUnit
     std::int64_t _lookahead; ///< fill-FSM lookahead distance, chunks
     std::int64_t _lastChunk; ///< chunk of the stream's final element
 
-    std::deque<Chunk> _window;
+    std::vector<Chunk> _ring; ///< the window; see chunk()
+    std::size_t _ringMask = 0;
     std::int64_t _loChunk = 0;
     std::int64_t _hiChunk = 0;
     std::int64_t _leadK = 0;
     std::int64_t _maxTapDistance = 0;
     sim::Tick _fsmNow = 0;
-    std::deque<sim::Tick> _drainDone;
+    sim::Tick _drainDone = 0; ///< latest drain completion since flush
 
     // Steady-state fast-path state: the common sequential read is an
     // in-window hit that triggers neither ensure() nor the lookahead
     // loop. These bounds, refreshed by updateFastBounds() on every
-    // window shape change, let readAt prove that with three compares.
+    // window shape change, let readAt prove that with five compares.
     bool _sameCluster;       ///< unit and consumer co-located
     std::int64_t _winLoK = 0;        ///< window start, element space
     std::int64_t _winHiK = 0;        ///< window end, element space
     std::int64_t _fastLeadLimitK = 0; ///< lead below which the
                                       ///< lookahead loop is a no-op
+
+    // Mono-DA routes (unit <-> consumer), resolved once when the two
+    // clusters differ: operand forwards and their credits for reads,
+    // posted values and their credits for writes.
+    noc::Mesh::Route _readData;
+    noc::Mesh::Route _readCredit;
+    noc::Mesh::Route _postData;
+    noc::Mesh::Route _postCredit;
 };
 
 /** The random-access (cp_read / cp_write) path of one partition. */
 class RandomUnit
 {
   public:
-    RandomUnit(int cluster, MemPort port, AccessStats *stats,
-               sim::Tick cycle_tick);
+    RandomUnit(MemPort port, AccessStats *stats, sim::Tick cycle_tick);
 
     /**
      * Access @p elem_bytes at @p addr. @p hide_ticks models how far
@@ -274,7 +380,6 @@ class RandomUnit
     }
 
   private:
-    int _cluster;
     MemPort _port;
     AccessStats *_stats;
     sim::Tick _cycleTick;

@@ -456,7 +456,7 @@ runBlockedNest(const TiledCsr &csr, bool stage_x, const char *label)
     accel::StreamUnit cols_stream(cp, port(c_vals), &hier.mesh(),
                                   &stats);
 
-    accel::RandomUnit x_random(c_vals, port(c_vals), &stats, 500);
+    accel::RandomUnit x_random(port(c_vals), &stats, 500);
 
     Channel bounds(64, 8, true, c_rowptr, c_vals);
 

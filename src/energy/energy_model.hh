@@ -91,6 +91,25 @@ class Accountant
         add(c, _perEvent[static_cast<std::size_t>(c)] * n);
     }
 
+    /**
+     * Direct access to one component's running total and per-event
+     * cost, for a caller that keeps a run of charges in a register and
+     * stores the total back (PartitionActor::runPredecoded). That is
+     * the same sequence of adds as calling addEvents() each time, so
+     * it is exact only while nothing else charges @p c in between.
+     */
+    struct Tally
+    {
+        double *totalPj;
+        double perEventPj;
+    };
+    Tally
+    tally(Component c)
+    {
+        const auto idx = static_cast<std::size_t>(c);
+        return Tally{&_perComponent[idx], _perEvent[idx]};
+    }
+
     /** Energy so far for one component, in picojoules. */
     double
     componentPj(Component c) const

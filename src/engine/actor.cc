@@ -98,11 +98,16 @@ PartitionActor::PartitionActor(
                     : 0;
 
     _isCgra = config.kind == ActorKind::Cgra;
-    // Same products the interpreter computes per instruction
-    // (scale * 1.0 and scale * 0.4), hoisted so the energy charge
-    // stays bit-identical between the two paths.
-    _fullInstWeight = config.instEnergyScale;
-    _portInstWeight = config.instEnergyScale * 0.4;
+    if (_acct) {
+        // Same products addEvents() computes per instruction in the
+        // interpreter (perEvent * (scale * 1.0) and perEvent * (scale *
+        // 0.4)), hoisted so the energy charge stays bit-identical
+        // between the two paths.
+        const energy::Accountant::Tally t = _acct->tally(config.energyComp);
+        _computePj = t.totalPj;
+        _fullInstPj = t.perEventPj * config.instEnergyScale;
+        _portInstPj = t.perEventPj * (config.instEnergyScale * 0.4);
+    }
     _ivPtr = prog.ivReg != compiler::noReg ? &_regs[prog.ivReg]
                                            : nullptr;
     if (config.predecode) {
@@ -179,9 +184,14 @@ PartitionActor::predecode(const MicroInst &inst)
       case MicroKind::Produce:
         op.ch = _outs[static_cast<std::size_t>(inst.slot)];
         op.a = src_ptr(inst.a);
-        op.chCross =
-            op.ch != nullptr &&
-            op.ch->srcCluster() != op.ch->dstCluster();
+        if (op.ch != nullptr &&
+            op.ch->srcCluster() != op.ch->dstCluster()) {
+            op.route = _mesh->route(
+                op.ch->srcCluster(), op.ch->dstCluster(),
+                op.ch->elemBytes(),
+                op.ch->isControl() ? noc::TrafficClass::AccCtrl
+                                   : noc::TrafficClass::AccData);
+        }
         break;
       case MicroKind::CarryWrite: {
           const auto &cs = _config.part->program
@@ -380,24 +390,43 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
     const std::size_t nops = _exec.size();
     std::int64_t done = 0;
 
+    // The slice's state lives in locals, so stores through the
+    // register pointers (which may alias any member) cannot force
+    // reloads; slice_exit() writes all of it back on every exit.
+    sim::Tick now = _now;
+    std::int64_t iter = _iter;
+    std::size_t pc = _pc;
+    StallStats stalls = _stalls;
+
+    // The compute charge (IOCore or Cgra) accumulates in a register:
+    // the same IEEE adds, in the same order, onto the same running
+    // total as one addEvents() per instruction. That is exact only
+    // because nothing but actors charges IOCore/Cgra (the engine picks
+    // the component per actor) and actors run one slice at a time, so
+    // nothing else touches the total during a slice.
+    double compute_pj = _computePj ? *_computePj : 0.0;
+
     // Slice-batched counters. Counts are integers, so one batched add
     // equals the interpreter's per-instruction adds exactly; the same
-    // holds for Buffer energy (integer count x per-event cost). The
-    // compute-component charge stays per-instruction because its port
-    // ops carry an inexact 0.4 weight and batching would change the
-    // FP summation order (see DESIGN.md).
+    // holds for Buffer energy (integer count x per-event cost).
     double insts = 0.0, mem_ops = 0.0, buf_events = 0.0;
-    const auto flush = [&] {
+    const auto slice_exit = [&] {
+        _now = now;
+        _iter = iter;
+        _pc = pc;
+        _stalls = stalls;
+        if (_computePj)
+            *_computePj = compute_pj;
         _insts += insts;
         _memOps += mem_ops;
         if (_acct && buf_events != 0.0)
             _acct->addEvents(energy::Component::Buffer, buf_events);
     };
 
-    while (_iter < _config.trip) {
-        if (_pc == 0) {
+    while (iter < _config.trip) {
+        if (pc == 0) {
             if (done >= max_iters) {
-                flush();
+                slice_exit();
                 return ActorStatus::Running;
             }
             if (_isCgra) {
@@ -406,25 +435,25 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                 const sim::Tick init =
                     _lastInit + static_cast<sim::Tick>(_config.ii) *
                                     _config.cycleTick;
-                if (_iter > 0)
-                    _now = std::max(_now, init);
-                _lastInit = _now;
+                if (iter > 0)
+                    now = std::max(now, init);
+                _lastInit = now;
             }
             if (_ivPtr)
-                _ivPtr->i = _iter;
+                _ivPtr->i = iter;
         }
-        while (_pc < nops) {
-            const ExecOp &op = ops[_pc];
+        while (pc < nops) {
+            const ExecOp &op = ops[pc];
             bool port_op = false;
             switch (op.kind) {
               case MicroKind::Alu: {
                   *op.dst = compiler::evalOp(op.op, *op.a, *op.b, *op.c);
-                  _now += _instCost;
+                  now += _instCost;
                   break;
               }
               case MicroKind::LoadStream: {
                   const std::int64_t off =
-                      op.baseElemOffset + op.ivCoeff * _iter;
+                      op.baseElemOffset + op.ivCoeff * iter;
                   DISTDA_ASSERT(off >= 0 &&
                                     static_cast<std::uint64_t>(off) <
                                         op.arrayCount,
@@ -435,16 +464,16 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                                          op.arrayElemBytes,
                       op.elemBytes, op.elemIsFloat);
                   const sim::Tick ready =
-                      op.stream->readAt(_iter, _now, op.tapDistance);
-                  _stalls.streamWait += ready - _now;
-                  _now = ready + _instCost;
+                      op.stream->readAt(iter, now, op.tapDistance);
+                  stalls.streamWait += ready - now;
+                  now = ready + _instCost;
                   mem_ops += 1.0;
                   break;
               }
               case MicroKind::StoreStream: {
                   if (!op.pred || op.pred->i != 0) {
                       const std::int64_t off =
-                          op.baseElemOffset + op.ivCoeff * _iter;
+                          op.baseElemOffset + op.ivCoeff * iter;
                       DISTDA_ASSERT(
                           off >= 0 && static_cast<std::uint64_t>(off) <
                                           op.arrayCount,
@@ -455,11 +484,11 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                               static_cast<std::uint64_t>(off) *
                                   op.arrayElemBytes,
                           *op.a, op.elemBytes, op.elemIsFloat);
-                      _now = op.stream->writeAt(_iter, _now,
-                                                op.tapDistance) +
-                             _instCost;
+                      now = op.stream->writeAt(iter, now,
+                                               op.tapDistance) +
+                            _instCost;
                   } else {
-                      _now += _instCost;
+                      now += _instCost;
                   }
                   mem_ops += 1.0;
                   break;
@@ -478,10 +507,10 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                   *op.dst = _backend->load(addr, op.elemBytes,
                                            op.elemIsFloat);
                   const sim::Tick done_t = _random->access(
-                      addr, op.elemBytes, false, _now,
+                      addr, op.elemBytes, false, now,
                       _config.hideTicks);
-                  _stalls.indirectWait += done_t - _now;
-                  _now = done_t;
+                  stalls.indirectWait += done_t - now;
+                  now = done_t;
                   mem_ops += 1.0;
                   break;
               }
@@ -499,10 +528,10 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                               op.arrayElemBytes;
                       _backend->store(addr, *op.b, op.elemBytes,
                                       op.elemIsFloat);
-                      _now = _random->access(addr, op.elemBytes, true,
-                                             _now, 0);
+                      now = _random->access(addr, op.elemBytes, true,
+                                            now, 0);
                   } else {
-                      _now += _instCost;
+                      now += _instCost;
                   }
                   mem_ops += 1.0;
                   break;
@@ -514,14 +543,14 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                           panic("consume on drained channel "
                                 "(partition %d)",
                                 _config.part->id);
-                      flush();
+                      slice_exit();
                       return ActorStatus::Blocked;
                   }
                   const ChannelItem &item = ch->front();
                   *op.dst = item.value;
-                  if (item.readyAt > _now)
-                      _stalls.channelWait += item.readyAt - _now;
-                  _now = std::max(_now, item.readyAt) + _instCost;
+                  if (item.readyAt > now)
+                      stalls.channelWait += item.readyAt - now;
+                  now = std::max(now, item.readyAt) + _instCost;
                   ch->pop();
                   _stats->intraBytes += ch->elemBytes();
                   _stats->bufferAccesses += 1.0;
@@ -532,30 +561,23 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
               case MicroKind::Produce: {
                   Channel *ch = op.ch;
                   if (ch->full()) {
-                      flush();
+                      slice_exit();
                       return ActorStatus::Blocked;
                   }
-                  sim::Tick arrive = _now;
-                  if (op.chCross) {
-                      auto xfer = _mesh->transfer(
-                          ch->srcCluster(), ch->dstCluster(),
-                          ch->elemBytes(),
-                          ch->isControl() ? noc::TrafficClass::AccCtrl
-                                          : noc::TrafficClass::AccData,
-                          _now);
-                      arrive = _now + xfer.latency;
-                  }
+                  sim::Tick arrive = now;
+                  if (op.route.hops != 0)
+                      arrive = now + _mesh->send(op.route, now).latency;
                   ch->push(*op.a, arrive);
                   _stats->aaBytes += ch->elemBytes();
                   _stats->bufferAccesses += 1.0;
                   buf_events += 1.0;
                   port_op = true;
-                  _now += _instCost;
+                  now += _instCost;
                   break;
               }
               case MicroKind::CarryWrite: {
                   *op.dst = *op.a;
-                  _now += _instCost;
+                  now += _instCost;
                   break;
               }
               default:
@@ -563,23 +585,20 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                       static_cast<int>(op.kind));
             }
             insts += 1.0;
-            if (_acct)
-                _acct->addEvents(_config.energyComp,
-                                 port_op ? _portInstWeight
-                                         : _fullInstWeight);
-            ++_pc;
+            compute_pj += port_op ? _portInstPj : _fullInstPj;
+            ++pc;
         }
-        _pc = 0;
-        ++_iter;
+        pc = 0;
+        ++iter;
         ++done;
-        if (_isCgra && _iter == 1) {
+        if (_isCgra && iter == 1) {
             // Pipeline fill of the spatial schedule.
-            _now += static_cast<sim::Tick>(_config.scheduleDepth) *
-                    _config.cycleTick;
+            now += static_cast<sim::Tick>(_config.scheduleDepth) *
+                   _config.cycleTick;
         }
     }
 
-    flush();
+    slice_exit();
     finish();
     return ActorStatus::Finished;
 }

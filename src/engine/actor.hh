@@ -128,7 +128,6 @@ class PartitionActor
         compiler::MicroKind kind = compiler::MicroKind::Alu;
         compiler::OpCode op = compiler::OpCode::Mov; ///< Alu only
         bool elemIsFloat = false;
-        bool chCross = false; ///< channel spans clusters (Produce)
         std::uint32_t elemBytes = 0;
         compiler::Word *dst = nullptr;
         const compiler::Word *a = nullptr;
@@ -143,6 +142,9 @@ class PartitionActor
         mem::Addr arrayBase = 0;
         std::uint32_t arrayElemBytes = 8;
         std::uint64_t arrayCount = 0;
+        /** Produce: the channel's mesh route; zero hops when the
+         *  channel stays inside one cluster (nothing is sent). */
+        noc::Mesh::Route route;
     };
 
     /** Execute one instruction; false means blocked (retry later). */
@@ -182,8 +184,10 @@ class PartitionActor
     std::vector<ExecOp> _exec; ///< empty = interpret the raw program
     compiler::Word *_ivPtr = nullptr; ///< induction register, if any
     compiler::Word _scratch{};        ///< sink for noReg destinations
-    double _fullInstWeight = 1.0;     ///< energy events per full inst
-    double _portInstWeight = 0.4;     ///< energy events per port op
+    /** Running IOCore/Cgra total (null without an Accountant). */
+    double *_computePj = nullptr;
+    double _fullInstPj = 0.0; ///< compute energy per full inst
+    double _portInstPj = 0.0; ///< compute energy per port op
     bool _isCgra = false;
     std::size_t _pc = 0;
     std::int64_t _iter = 0;

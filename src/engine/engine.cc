@@ -163,10 +163,6 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
         }
         part_cluster[static_cast<std::size_t>(part.id)] = cluster;
     }
-    // Mono-DA: a single partition computes at its (single) home; its
-    // access units decentralize below.
-    const bool decentralized = !_config.centralizedAccess;
-
     // --- Count stream buffers per cluster for capacity sharing. ---
     std::map<int, int> buffers_in_cluster;
     auto unit_cluster_of = [&](const Partition &part,
@@ -177,7 +173,6 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
         // the single remote compute node (Fig 1c vs 1d).
         if (_config.centralizedAccess || _config.distributedCompute)
             return part_cluster[static_cast<std::size_t>(part.id)];
-        (void)decentralized;
         const std::int64_t off = std::max<std::int64_t>(
             base_offset(ad), 0);
         const mem::Addr addr =
@@ -299,7 +294,7 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
         }
 
         auto random = std::make_unique<accel::RandomUnit>(
-            compute_cluster, port_at(compute_cluster), &_stats, cycle);
+            port_at(compute_cluster), &_stats, cycle);
 
         std::vector<Channel *> ins, outs;
         ins.reserve(part.inChannels.size());

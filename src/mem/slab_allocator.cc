@@ -70,7 +70,6 @@ SlabAllocator::allocate(std::uint64_t bytes, const std::string &name)
     }
 
     _live[addr] = Allocation{addr, rounded, name};
-    _bytesInUse += rounded;
     return addr;
 }
 
@@ -82,7 +81,6 @@ SlabAllocator::free(Addr base)
         panic("slab free of unknown address 0x%llx",
               static_cast<unsigned long long>(base));
     const std::uint64_t bytes = it->second.bytes;
-    _bytesInUse -= bytes;
     const int cls = classFor(bytes);
     if (cls >= 0 && classBytes(cls) == bytes)
         _freeLists[static_cast<std::size_t>(cls)].push_back(base);

@@ -51,14 +51,9 @@ class SlabAllocator
     /** Number of live allocations. */
     std::size_t liveAllocations() const { return _live.size(); }
 
-    /** Bytes currently handed out (after rounding). */
-    std::uint64_t bytesInUse() const { return _bytesInUse; }
-
     /** Arena base. */
     Addr arenaBase() const { return _base; }
 
-    /** Arena size in bytes. */
-    std::uint64_t arenaSize() const { return _size; }
 
   private:
     static constexpr std::uint64_t minSlab = 4096;
@@ -70,7 +65,6 @@ class SlabAllocator
     Addr _base;
     std::uint64_t _size;
     Addr _bump;
-    std::uint64_t _bytesInUse = 0;
     std::vector<std::vector<Addr>> _freeLists;
     std::map<Addr, Allocation> _live;
 };

@@ -28,9 +28,17 @@ Mesh::Mesh(const MeshParams &params, energy::Accountant *acct)
         fatal("mesh dimensions must be positive");
     if (params.hostNode < 0 || params.hostNode >= numNodes())
         fatal("host node %d outside mesh", params.hostNode);
-    _cols = sim::Divisor(static_cast<std::uint64_t>(params.cols));
     _linkBytes = sim::Divisor(params.linkBytes);
     _flitBytes = sim::Divisor(params.flitBytes);
+    const int n = numNodes();
+    _hops.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+    for (int src = 0; src < n; ++src) {
+        for (int dst = 0; dst < n; ++dst) {
+            _hops[static_cast<std::size_t>(src * n + dst)] =
+                std::abs(src % params.cols - dst % params.cols) +
+                std::abs(src / params.cols - dst / params.cols);
+        }
+    }
 }
 
 void

@@ -86,62 +86,100 @@ class Mesh
     {
         DISTDA_ASSERT(src >= 0 && src < numNodes(), "src node %d", src);
         DISTDA_ASSERT(dst >= 0 && dst < numNodes(), "dst node %d", dst);
-        const int dx = nodeX(src) - nodeX(dst);
-        const int dy = nodeY(src) - nodeY(dst);
-        return (dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy);
+        return _hops[static_cast<std::size_t>(src * numNodes() + dst)];
     }
 
     /**
-     * Inject a transfer of @p bytes from @p src to @p dst at @p now.
-     * Charges bytes/energy and returns delivery latency. Inline: every
-     * cross-cluster element and cache line rides through here.
+     * Everything about a transfer that depends only on its endpoints,
+     * size and class, resolved once by route(): a component that sends
+     * the same packet again and again (a stream unit's operand
+     * forwards and credits, a cross-cluster channel) keeps its Route
+     * and pays only send()'s contention step per packet.
      */
-    TransferResult
-    transfer(int src, int dst, std::uint32_t bytes, TrafficClass cls,
-             sim::Tick now)
+    struct Route
     {
-        const int nhops = hops(src, dst);
-        const auto idx = static_cast<std::size_t>(cls);
-        _bytes[idx] += bytes;
-        _packets[idx] += 1.0;
+        int src = 0;
+        int dst = 0;
+        std::uint32_t bytes = 0;
+        TrafficClass cls = TrafficClass::Data;
+        int hops = 0;
+        sim::Tick ser = 0;         ///< link occupancy (serialization)
+        sim::Tick headLatency = 0; ///< hops x hopCycles pipeline delay
+        double flitHops = 0.0;     ///< energy events per packet
+    };
 
-        if (nhops == 0)
-            return TransferResult{0, 0};
-
+    /** Resolve the fixed part of a transfer; see Route. */
+    Route
+    route(int src, int dst, std::uint32_t bytes, TrafficClass cls) const
+    {
+        Route r;
+        r.src = src;
+        r.dst = dst;
+        r.bytes = bytes;
+        r.cls = cls;
+        r.hops = hops(src, dst);
+        if (r.hops == 0)
+            return r;
         // Serialization: the packet occupies each traversed link for
         // ceil(bytes / linkBytes) NoC cycles.
         const sim::Cycles ser_cycles =
             _linkBytes.div(bytes + _params.linkBytes - 1);
-        const sim::Tick ser = _clock.cyclesToTicks(
-            std::max<sim::Cycles>(ser_cycles, 1));
+        r.ser = _clock.cyclesToTicks(std::max<sim::Cycles>(ser_cycles, 1));
+        r.headLatency = _clock.cyclesToTicks(
+            static_cast<sim::Cycles>(r.hops) * _params.hopCycles);
+        const double flits = static_cast<double>(
+            _flitBytes.div(bytes + _params.flitBytes - 1));
+        r.flitHops = flits * r.hops;
+        return r;
+    }
+
+    /**
+     * Inject one packet along @p r at @p now. Charges bytes/energy and
+     * returns delivery latency. Inline: every cross-cluster element
+     * and cache line rides through here.
+     */
+    TransferResult
+    send(const Route &r, sim::Tick now)
+    {
+        const auto idx = static_cast<std::size_t>(r.cls);
+        _bytes[idx] += r.bytes;
+        _packets[idx] += 1.0;
+
+        if (r.hops == 0)
+            return TransferResult{0, 0};
 
         // Light contention model: injection waits for the source and
         // destination routers; traversal then occupies them.
         sim::Tick &src_busy =
-            _routerBusyUntil[static_cast<std::size_t>(src)];
+            _routerBusyUntil[static_cast<std::size_t>(r.src)];
         sim::Tick &dst_busy =
-            _routerBusyUntil[static_cast<std::size_t>(dst)];
+            _routerBusyUntil[static_cast<std::size_t>(r.dst)];
         const sim::Tick start =
             std::max(now, std::max(src_busy, dst_busy));
-        const sim::Tick head_latency = _clock.cyclesToTicks(
-            static_cast<sim::Cycles>(nhops) * _params.hopCycles);
-        const sim::Tick done = start + head_latency + ser;
+        const sim::Tick done = start + r.headLatency + r.ser;
 
         // Cut-through: a router is occupied only while the packet's
         // flits stream through it; the head latency is pipeline delay.
-        src_busy = start + ser;
-        dst_busy = start + ser;
+        src_busy = start + r.ser;
+        dst_busy = start + r.ser;
 
-        const double flits = static_cast<double>(
-            _flitBytes.div(bytes + _params.flitBytes - 1));
-        _totalHopFlits += flits * nhops;
+        _totalHopFlits += r.flitHops;
         if (_acct)
-            _acct->addEvents(energy::Component::Noc, flits * nhops);
+            _acct->addEvents(energy::Component::Noc, r.flitHops);
 
         if (_probe)
-            recordTransfer(src, nhops, bytes, cls, start, start + ser);
+            recordTransfer(r.src, r.hops, r.bytes, r.cls, start,
+                           start + r.ser);
 
-        return TransferResult{done - now, nhops};
+        return TransferResult{done - now, r.hops};
+    }
+
+    /** Inject a transfer of @p bytes from @p src to @p dst at @p now. */
+    TransferResult
+    transfer(int src, int dst, std::uint32_t bytes, TrafficClass cls,
+             sim::Tick now)
+    {
+        return send(route(src, dst, bytes, cls), now);
     }
 
     /** Total bytes injected in one traffic class. */
@@ -165,20 +203,7 @@ class Mesh
     void setProbe(sim::Probe *probe);
 
   private:
-    int
-    nodeX(int node) const
-    {
-        return static_cast<int>(
-            _cols.mod(static_cast<std::uint64_t>(node)));
-    }
-    int
-    nodeY(int node) const
-    {
-        return static_cast<int>(
-            _cols.div(static_cast<std::uint64_t>(node)));
-    }
-
-    /** Out-of-line probe bookkeeping for the inline transfer(). */
+    /** Out-of-line probe bookkeeping for the inline send(). */
     void recordTransfer(int src, int nhops, std::uint32_t bytes,
                         TrafficClass cls, sim::Tick start,
                         sim::Tick end);
@@ -186,10 +211,10 @@ class Mesh
     MeshParams _params;
     energy::Accountant *_acct;
     sim::ClockDomain _clock;
-    // Per-packet divisors: XY coordinates, serialization and flits.
-    sim::Divisor _cols;
+    // Route divisors: serialization and flits.
     sim::Divisor _linkBytes;
     sim::Divisor _flitBytes;
+    std::vector<int> _hops; ///< XY hop count, [src * nodes + dst]
     std::vector<sim::Tick> _routerBusyUntil;
     std::array<double,
                static_cast<std::size_t>(TrafficClass::NumClasses)>

@@ -112,11 +112,6 @@ class LifecycleStats
 
     double invocations() const { return _e2e.count(); }
 
-    const stats::Distribution &phaseDist(Phase p) const
-    {
-        return _phase[static_cast<std::size_t>(p)];
-    }
-
     const stats::Distribution &e2eDist() const { return _e2e; }
 
     /** Total ticks spent in @p p across every recorded invocation. */

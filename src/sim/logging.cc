@@ -72,6 +72,18 @@ panic(const char *fmt, ...)
 }
 
 void
+assertFailed(const char *cond, const char *file, int line,
+             const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    const std::string msg = vstrfmt(fmt, ap);
+    va_end(ap);
+    panic("assertion '%s' failed at %s:%d: %s", cond, file, line,
+          msg.c_str());
+}
+
+void
 fatal(const char *fmt, ...)
 {
     va_list ap;

@@ -105,16 +105,25 @@ void setWarnEnabled(bool enabled);
 bool warnEnabled();
 
 /**
+ * DISTDA_ASSERT's failure path: panic() with the condition text, the
+ * location and the formatted message. Out of line and cold, so a
+ * check on a hot path costs one compare and a call, not a string
+ * temporary and its cleanup.
+ */
+[[noreturn, gnu::cold]] void assertFailed(const char *cond,
+                                          const char *file, int line,
+                                          const char *fmt, ...)
+    __attribute__((format(printf, 4, 5)));
+
+/**
  * Assert-like invariant check that survives NDEBUG builds.
  * Calls panic() with the condition text when cond is false.
  */
 #define DISTDA_ASSERT(cond, ...)                                          \
     do {                                                                  \
-        if (!(cond)) {                                                    \
-            ::distda::panic("assertion '%s' failed at %s:%d: %s", #cond,  \
-                            __FILE__, __LINE__,                           \
-                            ::distda::strfmt(__VA_ARGS__).c_str());       \
-        }                                                                 \
+        if (!(cond)) [[unlikely]]                                         \
+            ::distda::assertFailed(#cond, __FILE__, __LINE__,             \
+                                   __VA_ARGS__);                          \
     } while (0)
 
 } // namespace distda

@@ -112,10 +112,6 @@ class Distribution
     double bucketHi() const { return _hi; }
     std::size_t numBuckets() const { return _buckets.size(); }
     double bucketCount(std::size_t i) const { return _buckets[i]; }
-    double bucketWidth() const
-    {
-        return (_hi - _lo) / static_cast<double>(_buckets.size());
-    }
 
     /** Emit this distribution as a JSON object value. */
     void jsonDump(sim::JsonWriter &w) const;

@@ -33,12 +33,9 @@ class ClockDomain
   public:
     /** Construct a domain from a frequency in hertz. */
     explicit constexpr ClockDomain(std::uint64_t freq_hz)
-        : _freqHz(freq_hz), _period(ticksPerSecond / freq_hz)
+        : _period(ticksPerSecond / freq_hz)
     {
     }
-
-    /** Frequency of this domain in hertz. */
-    constexpr std::uint64_t freqHz() const { return _freqHz; }
 
     /** Duration of one cycle in ticks. */
     constexpr Tick period() const { return _period; }
@@ -61,7 +58,6 @@ class ClockDomain
     }
 
   private:
-    std::uint64_t _freqHz;
     Tick _period;
 };
 

@@ -145,6 +145,70 @@ TEST(Mesh, NonPowerOfTwoGeometryMatchesTheFormulas)
     EXPECT_DOUBLE_EQ(mesh.hopFlits(), flit_hops);
 }
 
+TEST(Mesh, RouteSendMatchesTransfer)
+{
+    // send(route(...)) is transfer()'s only definition, split so that
+    // fixed-endpoint senders resolve the route once. On twin meshes,
+    // every pair, size and class — sent far apart and back to back, so
+    // the contention state is exercised too — must agree packet for
+    // packet and leave bit-identical counters and Noc energy.
+    noc::MeshParams odd;
+    odd.cols = 3;
+    odd.rows = 3;
+    odd.hostNode = 4;
+    odd.linkBytes = 12;
+    odd.flitBytes = 6;
+    for (const noc::MeshParams &p : {noc::MeshParams{}, odd}) {
+        energy::Accountant acct_t, acct_s;
+        noc::Mesh by_transfer(p, &acct_t);
+        noc::Mesh by_send(p, &acct_s);
+        const int n = by_transfer.numNodes();
+        sim::Tick now = 0;
+        for (int a = 0; a < n; ++a) {
+            for (int b = 0; b < n; ++b) {
+                for (std::uint32_t bytes :
+                     {1u, 8u, 12u, 16u, 17u, 64u, 72u}) {
+                    for (int c = 0;
+                         c < static_cast<int>(noc::TrafficClass::NumClasses);
+                         ++c) {
+                        const auto cls = static_cast<noc::TrafficClass>(c);
+                        const noc::Mesh::Route r =
+                            by_send.route(a, b, bytes, cls);
+                        EXPECT_EQ(r.hops, by_send.hops(a, b));
+                        // Two back-to-back injections, then a gap.
+                        for (int rep = 0; rep < 2; ++rep) {
+                            const auto want = by_transfer.transfer(
+                                a, b, bytes, cls, now);
+                            const auto got = by_send.send(r, now);
+                            EXPECT_EQ(got.latency, want.latency)
+                                << a << "->" << b << ", " << bytes
+                                << "B, class " << c << ", rep " << rep;
+                            EXPECT_EQ(got.hops, want.hops);
+                        }
+                        now += 7000;
+                    }
+                }
+            }
+        }
+        stats::Group gt("t"), gs("s");
+        by_transfer.exportStats(gt);
+        by_send.exportStats(gs);
+        for (int c = 0; c < static_cast<int>(noc::TrafficClass::NumClasses);
+             ++c) {
+            const std::string name =
+                noc::trafficClassName(static_cast<noc::TrafficClass>(c));
+            EXPECT_EQ(gs.get("noc_bytes." + name).value(),
+                      gt.get("noc_bytes." + name).value());
+            EXPECT_EQ(gs.get("noc_packets." + name).value(),
+                      gt.get("noc_packets." + name).value());
+        }
+        EXPECT_EQ(by_send.hopFlits(), by_transfer.hopFlits());
+        EXPECT_GT(by_send.hopFlits(), 0.0);
+        EXPECT_EQ(acct_s.componentPj(energy::Component::Noc),
+                  acct_t.componentPj(energy::Component::Noc));
+    }
+}
+
 TEST(Mesh, BadNodePanics)
 {
     energy::Accountant acct;
