@@ -4,17 +4,20 @@
 Usage, from anywhere inside the repository:
 
     scripts/perf_ab.py <base-rev> --workload dense-offload --pairs 5 --seconds 40
+    scripts/perf_ab.py <base-rev> --workload host-ooo,graph-mem,dense-offload
 
 The base revision is exported (git archive) into a temporary directory
-and built there; the current working tree is the change side. Each pair
-runs both sides' perfbench once with the same fresh seed, alternating
-which side goes first, so slow drift of a shared host hits both sides
-equally. For every end-to-end metric in BENCHMARK.json it prints the
-base and change median [quartiles], the ratio of medians (change / base)
-and how many pairs the change won, plus failed-job counts.
+and built there once; the current working tree is the change side.
+--workload takes one workload or a comma-separated list; the pairs of
+each workload run in turn. Each pair runs both sides' perfbench once
+with the same fresh seed, alternating which side goes first, so slow
+drift of a shared host hits both sides equally. For each workload and
+every end-to-end metric in BENCHMARK.json it prints the base and change
+median [quartiles], the ratio of medians (change / base) and how many
+pairs the change won, plus failed-job counts.
 
-This takes N x 2 x (S + job setup) seconds plus two builds, so it is a
-tool for measuring a change, not a CI stage.
+This takes W x N x 2 x (S + job setup) seconds plus two builds, so it
+is a tool for measuring a change, not a CI stage.
 """
 
 import argparse
@@ -65,12 +68,16 @@ def summary(values):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("base", help="git revision to compare against")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    help="workload, or comma-separated workloads")
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=int, default=40)
     ap.add_argument("--first-seed", type=int,
                     help="seed of the first pair (default: random)")
     args = ap.parse_args()
+    workloads = [w for w in args.workload.split(",") if w]
+    if not workloads:
+        ap.error("--workload names no workload")
 
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"],
                           stdout=subprocess.PIPE, text=True,
@@ -84,25 +91,37 @@ def main():
                   else random.SystemRandom().randrange(1000, 1_000_000))
 
     base_dir = tempfile.mkdtemp(prefix="perf_ab_")
+    results = {w: {"base": [], "change": []} for w in workloads}
     try:
         export_tree(root, rev, base_dir)
         sides = {"base": base_dir, "change": root}
-        results = {"base": [], "change": []}
-        for i in range(args.pairs):
-            seed = first_seed + i
-            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
-            for side in order:
-                log(f"pair {i + 1}/{args.pairs}, seed {seed}: {side}")
-                result = run_perfbench(sides[side], args.workload, seed,
-                                       args.seconds)
-                results[side].append(result)
-                log(f"  {side}: " + ", ".join(
-                    f"{m['name']} {result['metrics'][m['name']]['value']:.4g}"
-                    for m in metrics) + f", failed {result['failed']}")
+        for workload in workloads:
+            for i in range(args.pairs):
+                seed = first_seed + i
+                order = (["base", "change"] if i % 2 == 0
+                         else ["change", "base"])
+                for side in order:
+                    log(f"{workload} pair {i + 1}/{args.pairs}, "
+                        f"seed {seed}: {side}")
+                    result = run_perfbench(sides[side], workload, seed,
+                                           args.seconds)
+                    results[workload][side].append(result)
+                    log(f"  {side}: " + ", ".join(
+                        f"{m['name']} "
+                        f"{result['metrics'][m['name']]['value']:.4g}"
+                        for m in metrics) + f", failed {result['failed']}")
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
 
-    print(f"{args.workload}: base {rev[:10]} vs working tree, "
+    for workload in workloads:
+        print_table(workload, results[workload], metrics, rev, args,
+                    first_seed)
+    return 0
+
+
+def print_table(workload, results, metrics, rev, args, first_seed):
+    """One workload's end-to-end comparison."""
+    print(f"{workload}: base {rev[:10]} vs working tree, "
           f"{args.pairs} pairs of {args.seconds} s, seeds "
           f"{first_seed}-{first_seed + args.pairs - 1}")
     for m in metrics:
@@ -122,7 +141,6 @@ def main():
         failed = sum(r["failed"] for r in results[side])
         attempted = sum(r["attempted"] for r in results[side])
         print(f"  failed jobs, {side}: {failed} of {attempted}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@
 #include "src/mem/hierarchy.hh"
 #include "src/noc/mesh.hh"
 #include "src/sim/divisor.hh"
+#include "src/sim/fn_ref.hh"
 #include "src/sim/ticks.hh"
 
 namespace distda::accel
@@ -39,48 +40,12 @@ namespace distda::accel
  * Memory-side port of an access unit: (addr, bytes, write, now) ->
  * latency. Normally the cluster's ACP into the local L3; the Mono-CA
  * configuration routes it through the accelerator's 8KB private cache.
- *
- * A non-owning function-pointer + context view rather than a
- * std::function: ports sit on the per-element simulation hot path and
- * the type-erased call (plus potential heap allocation) showed up in
- * profiles. The context object must outlive the unit holding the port;
- * in practice ports point at a Cache owned by the Hierarchy or the
- * DataflowEngine, both of which outlive every access unit.
+ * The target must outlive the unit holding the port; in practice ports
+ * point at a Cache owned by the Hierarchy or the DataflowEngine, both
+ * of which outlive every access unit.
  */
-class MemPort
-{
-  public:
-    using Fn = sim::Tick (*)(void *, mem::Addr, std::uint32_t, bool,
-                             sim::Tick);
-
-    MemPort() = default;
-    MemPort(Fn fn, void *ctx) : _fn(fn), _ctx(ctx) {}
-
-    /** Adapt any callable lvalue; @p f must outlive the port. */
-    template <typename F>
-    static MemPort
-    of(F &f)
-    {
-        return MemPort(
-            [](void *ctx, mem::Addr a, std::uint32_t s, bool w,
-               sim::Tick t) {
-                return (*static_cast<F *>(ctx))(a, s, w, t);
-            },
-            &f);
-    }
-
-    sim::Tick
-    operator()(mem::Addr a, std::uint32_t s, bool w, sim::Tick t) const
-    {
-        return _fn(_ctx, a, s, w, t);
-    }
-
-    explicit operator bool() const { return _fn != nullptr; }
-
-  private:
-    Fn _fn = nullptr;
-    void *_ctx = nullptr;
-};
+using MemPort =
+    sim::FnRef<sim::Tick(mem::Addr, std::uint32_t, bool, sim::Tick)>;
 
 /** Figure 9's dynamic-access-distribution counters, in bytes. */
 struct AccessStats

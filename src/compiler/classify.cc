@@ -50,6 +50,25 @@ carriedDistance(const AffinePattern &store_pat,
     return d > 0;
 }
 
+std::vector<int>
+loadDepths(const Kernel &kernel)
+{
+    std::vector<int> depth(kernel.nodes.size(), 0);
+    for (int id : kernel.topoOrder()) {
+        const Node &n = kernel.node(id);
+        int in_depth = 0;
+        for (int in : n.valueInputs())
+            in_depth = std::max(in_depth,
+                                depth[static_cast<std::size_t>(in)]);
+        depth[static_cast<std::size_t>(id)] =
+            in_depth + ((n.kind == NodeKind::Access &&
+                         n.dir == AccessDir::Load)
+                            ? 1
+                            : 0);
+    }
+    return depth;
+}
+
 DependenceInfo
 classifyKernel(const Kernel &kernel)
 {
@@ -113,21 +132,8 @@ classifyKernel(const Kernel &kernel)
 
     // Dependent-load chain depth within one iteration (feeds the OoO
     // and software-prefetch models).
-    std::vector<int> depth(kernel.nodes.size(), 0);
-    for (int id : kernel.topoOrder()) {
-        const Node &n = kernel.node(id);
-        int in_depth = 0;
-        for (int in : n.valueInputs())
-            in_depth = std::max(in_depth,
-                                depth[static_cast<std::size_t>(in)]);
-        depth[static_cast<std::size_t>(id)] =
-            in_depth + ((n.kind == NodeKind::Access &&
-                         n.dir == AccessDir::Load)
-                            ? 1
-                            : 0);
-        info.loadChainDepth = std::max(
-            info.loadChainDepth, depth[static_cast<std::size_t>(id)]);
-    }
+    for (int d : loadDepths(kernel))
+        info.loadChainDepth = std::max(info.loadChainDepth, d);
 
     // Loop-carried compute recurrence latency: ops on a carry cycle
     // execute serially across iterations.

@@ -9,6 +9,8 @@
 #ifndef DISTDA_COMPILER_CLASSIFY_HH
 #define DISTDA_COMPILER_CLASSIFY_HH
 
+#include <vector>
+
 #include "src/compiler/dfg.hh"
 #include "src/compiler/plan.hh"
 
@@ -17,6 +19,15 @@ namespace distda::compiler
 
 /** Analyze @p kernel and classify it. */
 DependenceInfo classifyKernel(const Kernel &kernel);
+
+/**
+ * Dependent-load depth of every node, indexed by node id: the largest
+ * number of loads on any same-iteration path ending at the node, the
+ * node itself included. Its maximum is
+ * DependenceInfo::loadChainDepth; the OoO host model serializes loads
+ * level by level.
+ */
+std::vector<int> loadDepths(const Kernel &kernel);
 
 /**
  * True when the set of nodes transitively feeding @p node (same

@@ -232,6 +232,17 @@ Kernel::verify() const
         if (n.kind == NodeKind::Carry && n.carryUpdate == noNode)
             panic("kernel '%s': carry '%s' never updated (missing "
                   "setCarry)", name.c_str(), n.name.c_str());
+        if (n.kind == NodeKind::Carry &&
+            (n.carryUpdate < 0 ||
+             n.carryUpdate >= static_cast<int>(nodes.size())))
+            panic("kernel '%s': carry '%s' has bad update %d",
+                  name.c_str(), n.name.c_str(), n.carryUpdate);
+    }
+    for (int r : resultCarries) {
+        if (r < 0 || r >= static_cast<int>(nodes.size()) ||
+            node(r).kind != NodeKind::Carry)
+            panic("kernel '%s': result %d is not a carry", name.c_str(),
+                  r);
     }
     if (loop.extentParam < 0 && loop.staticExtent <= 0)
         panic("kernel '%s': loop extent not set", name.c_str());

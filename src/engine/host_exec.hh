@@ -5,6 +5,12 @@
  * and per-iteration time follows an analytical OoO model — issue-width
  * bound on the instruction stream, MSHR/window bound on memory-level
  * parallelism, and full serialization for pointer-chasing recurrences.
+ *
+ * The executor is predecoded (DESIGN.md §4, "The host executor loop"):
+ * the constructor flattens the kernel's topological node walk into a
+ * compact op stream and computes every per-kernel constant of the
+ * timing model once, so run() walks only the ops that do work each
+ * iteration.
  */
 
 #ifndef DISTDA_ENGINE_HOST_EXEC_HH
@@ -69,13 +75,69 @@ class HostExecutor
                       sim::Tick start_tick);
 
   private:
+    enum class OpKind : std::uint8_t { Compute, Load, Store };
+
+    /**
+     * One per-iteration op: a compute node or an access, in
+     * topological order. Slots index the value array, which holds one
+     * Word per node plus two constant slots, so an absent input reads
+     * the always-zero slot and an unpredicated store tests the
+     * always-one slot. Every access computes its element offset as
+     * base + ivCoeff * it + value[addr]: an affine access reads the
+     * zero slot, an indirect one has base and ivCoeff 0.
+     */
+    struct Op
+    {
+        OpKind kind = OpKind::Compute;
+        compiler::OpCode opcode = compiler::OpCode::Mov; ///< Compute
+        bool isFloat = false;    ///< access element type
+        std::uint32_t bytes = 0; ///< access width
+        std::uint32_t level = 0; ///< load-chain depth of a Load
+        int node = compiler::noNode;
+        /**
+         * Compute: the three inputs. Load: a = address. Store: a =
+         * address, b = stored value, c = predicate.
+         */
+        int a = 0, b = 0, c = 0;
+        int obj = -1;
+        std::int64_t ivCoeff = 0;
+
+        // Bound at the top of each run from the bindings and params.
+        std::int64_t base = 0; ///< constBase plus the param terms
+        mem::Addr arrBase = 0;
+        std::uint64_t count = 0;
+        std::uint32_t stride = 0;
+
+        std::int64_t constBase = 0;
+        /** Affine param coefficients; null for indirect accesses. */
+        const std::vector<std::int64_t> *paramCoeffs = nullptr;
+    };
+
+    /** A carry slot and the node it latches at iteration end. */
+    struct CarryLatch
+    {
+        int slot;
+        int update;
+    };
+
     const compiler::Kernel &_kernel;
     mem::Hierarchy *_hier;
     MemBackend *_backend;
     energy::Accountant *_acct;
-    HostParams _params;
-    compiler::DependenceInfo _dep;
-    std::vector<int> _topo;
+
+    std::vector<Op> _ops;
+    /** Value array at run start: constants and carry inits set. */
+    std::vector<compiler::Word> _initVals;
+    std::vector<std::pair<int, int>> _paramSlots; ///< (slot, param)
+    std::vector<int> _ivSlots;
+    std::vector<CarryLatch> _carries;
+
+    int _opsPerIter = 0;  ///< issued ops, loop overhead included
+    int _memOpsPerIter = 0;
+    sim::Tick _computeTicks = 0;
+    double _mlp = 1.0;
+    std::size_t _levels = 0; ///< loadChainDepth + 1
+    bool _memoryRecurrence = false;
 };
 
 } // namespace distda::engine

@@ -27,6 +27,7 @@
 #include "src/energy/energy_model.hh"
 #include "src/mem/addr.hh"
 #include "src/sim/divisor.hh"
+#include "src/sim/fn_ref.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
 
@@ -77,46 +78,11 @@ class Cache
     /**
      * Downstream line-fill handler: (line_addr, is_write, now) ->
      * latency. Writebacks call it with is_write=true; the returned
-     * latency of writebacks is not added to the critical path.
-     *
-     * A non-owning function-pointer + context view rather than a
-     * std::function: every miss and writeback goes through it, and the
-     * type-erased call cost was measurable in sweep profiles. The
-     * context must outlive the cache; downstreams point at hierarchy
+     * latency of writebacks is not added to the critical path. The
+     * target must outlive the cache; downstreams point at hierarchy
      * components owned alongside the cache itself.
      */
-    class Downstream
-    {
-      public:
-        using Fn = sim::Tick (*)(void *, Addr, bool, sim::Tick);
-
-        Downstream() = default;
-        Downstream(Fn fn, void *ctx) : _fn(fn), _ctx(ctx) {}
-
-        /** Adapt any callable lvalue; @p f must outlive the cache. */
-        template <typename F>
-        static Downstream
-        of(F &f)
-        {
-            return Downstream(
-                [](void *ctx, Addr a, bool w, sim::Tick t) {
-                    return (*static_cast<F *>(ctx))(a, w, t);
-                },
-                &f);
-        }
-
-        sim::Tick
-        operator()(Addr a, bool w, sim::Tick t) const
-        {
-            return _fn(_ctx, a, w, t);
-        }
-
-        explicit operator bool() const { return _fn != nullptr; }
-
-      private:
-        Fn _fn = nullptr;
-        void *_ctx = nullptr;
-    };
+    using Downstream = sim::FnRef<sim::Tick(Addr, bool, sim::Tick)>;
 
     Cache(const CacheParams &params, energy::Accountant *acct,
           Downstream downstream);

@@ -77,13 +77,6 @@ Hierarchy::Hierarchy(const HierarchyParams &params,
 }
 
 CacheResult
-Hierarchy::hostAccess(Addr addr, std::uint32_t size, bool write,
-                      sim::Tick now)
-{
-    return _l1->access(addr, size, write, now);
-}
-
-CacheResult
 Hierarchy::accelAccess(Addr addr, std::uint32_t size, bool write,
                        int cluster, sim::Tick now)
 {

@@ -50,8 +50,11 @@ class Hierarchy
     }
 
     /** Host demand access: L1 -> L2 -> L3 -> DRAM. */
-    CacheResult hostAccess(Addr addr, std::uint32_t size, bool write,
-                           sim::Tick now);
+    CacheResult
+    hostAccess(Addr addr, std::uint32_t size, bool write, sim::Tick now)
+    {
+        return _l1->access(addr, size, write, now);
+    }
 
     /** Accelerator access through the cluster-local ACP into the L3. */
     CacheResult accelAccess(Addr addr, std::uint32_t size, bool write,

@@ -51,10 +51,6 @@ class SlabAllocator
     /** Number of live allocations. */
     std::size_t liveAllocations() const { return _live.size(); }
 
-    /** Arena base. */
-    Addr arenaBase() const { return _base; }
-
-
   private:
     static constexpr std::uint64_t minSlab = 4096;
     static constexpr int numClasses = 8; ///< 4KB .. 512KB

@@ -96,6 +96,32 @@ TEST(Builder, VerifyCatchesUnsetCarry)
     EXPECT_PANIC((void)kb.build(), "never updated");
 }
 
+TEST(Builder, VerifyCatchesBadCarryUpdateAndResult)
+{
+    // Parsed kernels (plan artifacts, .repro cases) reach verify()
+    // with node ids nothing has checked yet.
+    KernelBuilder kb("k");
+    const int a = kb.object("A", 16, 8, false);
+    kb.loopStatic(4);
+    auto c = kb.carry(Word{0}, false);
+    kb.setCarry(c, kb.iadd(c, kb.load(a, kb.affine(0, 1))));
+    kb.markResult(c);
+    const Kernel good = kb.build();
+    EXPECT_EQ(good.defect(), "");
+
+    Kernel bad_update = good;
+    bad_update.node(c.node).carryUpdate = 99;
+    EXPECT_NE(bad_update.defect().find("bad update 99"), std::string::npos);
+
+    Kernel bad_result = good;
+    bad_result.resultCarries = {99};
+    EXPECT_NE(bad_result.defect().find("result 99 is not a carry"),
+              std::string::npos);
+    bad_result.resultCarries = {good.node(c.node).carryUpdate};
+    EXPECT_NE(bad_result.defect().find("is not a carry"),
+              std::string::npos);
+}
+
 TEST(Builder, TopoOrderRespectsDependencies)
 {
     Kernel k = makeStreamKernel();
